@@ -79,7 +79,7 @@ let ratio a b = if b = 0.0 then "-" else Printf.sprintf "%.2fx" (a /. b)
    host shares the kernel's node, so this aggregates all send/receive
    activity of that host since boot. *)
 let ipc_counters kernel =
-  Transport.ipc_stats_to_list (Kernel.kctx kernel).Kctx.node.Transport.node_stats
+  Metrics.values (Kernel.kctx kernel).Kctx.node.Transport.node_stats.Transport.s_group
 
 (* Pointwise sum of several counter lists (e.g. the hosts of a
    cluster). All lists carry the same keys in the same order. *)

@@ -20,7 +20,14 @@ let project ~sources =
 (* Both machines: 4 MB of physical memory, the same disk geometry. *)
 let frames = 1024
 
-let run_unix ~builds proj =
+(* One cold build, then one warm: a second warm build repeats the
+   first exactly, since nothing the cache holds changes between them. *)
+let cold_then_warm engine ops proj =
+  let cold = Compile_sim.measure_build engine ops proj in
+  let warm = Compile_sim.measure_build engine ops proj in
+  [ cold; warm ]
+
+let run_unix proj =
   let sys = Kernel.create_system () in
   let disk = Disk.create sys.Kernel.engine ~name:"unix-disk" ~blocks:4096 ~block_size:page () in
   let results = ref [] in
@@ -34,20 +41,17 @@ let run_unix ~builds proj =
       Compile_sim.populate ops (Rng.create 7) proj;
       Unix_fs.sync ufs;
       Disk.reset_stats disk;
-      for _ = 1 to builds do
-        let m = Compile_sim.measure_build sys.Kernel.engine ops proj in
-        results := m :: !results
-      done);
+      results := cold_then_warm sys.Kernel.engine ops proj);
   Engine.run sys.Kernel.engine;
   note_registry sys.Kernel.kernel;
-  List.rev !results
+  !results
 
 (* Pager protocol traffic during the measured builds: messages sent
    (data_requests), pages received (pageins) and the ratio — cluster-in
    should bring in clearly more than one page per request. *)
 type pager_traffic = { pt_requests : int; pt_pageins : int }
 
-let run_mach ~builds proj =
+let run_mach proj =
   let config = { Kernel.default_config with Kernel.phys_frames = frames } in
   let sys = Kernel.create_system ~config () in
   let disk = Disk.create sys.Kernel.engine ~name:"mach-disk" ~blocks:4096 ~block_size:page () in
@@ -64,18 +68,19 @@ let run_mach ~builds proj =
              in
              Compile_sim.populate ops (Rng.create 7) proj;
              Disk.reset_stats disk;
-             base := (st.Vm_types.s_data_requests, st.Vm_types.s_pageins);
-             for _ = 1 to builds do
-               let m = Compile_sim.measure_build sys.Kernel.engine ops proj in
-               results := m :: !results
-             done)));
+             base :=
+               (Metrics.value st.Vm_types.s_data_requests, Metrics.value st.Vm_types.s_pageins);
+             results := cold_then_warm sys.Kernel.engine ops proj)));
   Engine.run sys.Kernel.engine;
   note_registry sys.Kernel.kernel;
   let req0, in0 = !base in
   let traffic =
-    { pt_requests = st.Vm_types.s_data_requests - req0; pt_pageins = st.Vm_types.s_pageins - in0 }
+    {
+      pt_requests = Metrics.value st.Vm_types.s_data_requests - req0;
+      pt_pageins = Metrics.value st.Vm_types.s_pageins - in0;
+    }
   in
-  (List.rev !results, traffic)
+  (!results, traffic)
 
 (* Write-side traffic: the link/emit phase of the build — sequentially
    dirtying a mapped output image larger than memory — on a
@@ -108,7 +113,9 @@ let run_writeback ~frames:wb_frames ~image_pages =
              | Error _ -> ()
              | Ok (addr, _size) ->
                base :=
-                 (st.Vm_types.s_data_writes, st.Vm_types.s_pageouts, st.Vm_types.s_laundered);
+                 ( Metrics.value st.Vm_types.s_data_writes,
+                   Metrics.value st.Vm_types.s_pageouts,
+                   Metrics.value st.Vm_types.s_laundered );
                for i = 0 to image_pages - 1 do
                  ignore (ok_exn "emit" (Syscalls.touch client ~addr:(addr + (i * page)) ~write:true ()))
                done)));
@@ -116,22 +123,23 @@ let run_writeback ~frames:wb_frames ~image_pages =
   note_registry sys.Kernel.kernel;
   let w0, p0, l0 = !base in
   {
-    wt_writes = st.Vm_types.s_data_writes - w0;
-    wt_pageouts = st.Vm_types.s_pageouts - p0;
-    wt_laundered = st.Vm_types.s_laundered - l0;
+    wt_writes = Metrics.value st.Vm_types.s_data_writes - w0;
+    wt_pageouts = Metrics.value st.Vm_types.s_pageouts - p0;
+    wt_laundered = Metrics.value st.Vm_types.s_laundered - l0;
   }
 
-let run_body ~sources ~builds ~wb_frames ~image_pages =
+let run_body ~sources ~wb_frames ~image_pages =
   let proj = project ~sources in
-  let unix_runs = run_unix ~builds proj in
-  let mach_runs, traffic = run_mach ~builds proj in
+  let unix_runs = run_unix proj in
+  let mach_runs, traffic = run_mach proj in
   let wtraffic = run_writeback ~frames:wb_frames ~image_pages in
   (proj, List.combine unix_runs mach_runs, traffic, wtraffic)
 
+let full () = run_body ~sources:48 ~wb_frames:256 ~image_pages:512
+let per a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
+
 let run () =
-  let proj, rows, traffic, wtraffic =
-    run_body ~sources:48 ~builds:3 ~wb_frames:256 ~image_pages:512
-  in
+  let proj, rows, traffic, wtraffic = full () in
   let t =
     Table.create
       ~title:
@@ -174,9 +182,7 @@ let run () =
       string_of_int traffic.pt_requests;
       string_of_int traffic.pt_pageins;
       (if traffic.pt_requests = 0 then "-"
-       else
-         Printf.sprintf "%.2f"
-           (float_of_int traffic.pt_pageins /. float_of_int traffic.pt_requests));
+       else Printf.sprintf "%.2f" (per traffic.pt_pageins traffic.pt_requests));
     ];
   let w =
     Table.create
@@ -191,11 +197,22 @@ let run () =
       string_of_int wtraffic.wt_pageouts;
       string_of_int wtraffic.wt_laundered;
       (if wtraffic.wt_writes = 0 then "-"
-       else
-         Printf.sprintf "%.2f"
-           (float_of_int wtraffic.wt_pageouts /. float_of_int wtraffic.wt_writes));
+       else Printf.sprintf "%.2f" (per wtraffic.wt_pageouts wtraffic.wt_writes));
     ];
   [ t; p; w ]
+
+(* The §9 headline as ratios (UNIX over Mach: > 1 means Mach wins). *)
+let json () =
+  let _, rows, traffic, wtraffic = full () in
+  let speedup (u, m) = u.Compile_sim.elapsed_us /. m.Compile_sim.elapsed_us in
+  let cold, warm = match rows with [ c; w ] -> (c, w) | _ -> assert false in
+  [
+    ("cold_speedup", speedup cold);
+    ("warm_speedup", speedup warm);
+    ("warm_io_ratio", per (fst warm).Compile_sim.disk_ops (snd warm).Compile_sim.disk_ops);
+    ("pages_per_request", per traffic.pt_pageins traffic.pt_requests);
+    ("pages_per_data_write", per wtraffic.wt_pageouts wtraffic.wt_writes);
+  ]
 
 let experiment =
   {
@@ -206,6 +223,6 @@ let experiment =
        and a large system compilation does 10x fewer I/O operations, because Mach uses the bulk \
        of physical memory as a file cache instead of a fixed 10% buffer cache.";
     run;
-    quick = (fun () -> ignore (run_body ~sources:6 ~builds:2 ~wb_frames:64 ~image_pages:128));
-    json = None;
+    quick = (fun () -> ignore (run_body ~sources:6 ~wb_frames:64 ~image_pages:128));
+    json = Some json;
   }

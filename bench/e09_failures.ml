@@ -45,7 +45,7 @@ let run_unresponsive ~policy =
       in
       let engine = sys.Kernel.engine in
       let r, elapsed = timed engine (fun () -> Syscalls.read_bytes task ~addr ~len:8 ~policy ()) in
-      (r, elapsed, Rt.Stats.to_list (Rt.stats rt)))
+      (r, elapsed, Metrics.values (Rt.stats rt).Rt.Stats.s_group))
 
 (* Scenario 3: the manager dies mid-fault. No caller timeout is
    involved: the kernel's pager-death handler resolves every
@@ -73,10 +73,10 @@ let run_death ~kill_after_us =
       let st = Kernel.stats kernel in
       ( r,
         elapsed,
-        Rt.Stats.to_list (Rt.stats rt),
-        ( st.Vm_types.s_pager_deaths,
-          st.Vm_types.s_death_errors,
-          st.Vm_types.s_death_zero_fills ) ))
+        Metrics.values (Rt.stats rt).Rt.Stats.s_group,
+        ( Metrics.value st.Vm_types.s_pager_deaths,
+          Metrics.value st.Vm_types.s_death_errors,
+          Metrics.value st.Vm_types.s_death_zero_fills ) ))
 
 (* Scenario 4: manager that accepts pager_data_write but never releases
    the data — §6.2.2 double paging must rescue the frames. Holding the
@@ -124,7 +124,7 @@ let run_hoarder () =
           | Error _ -> false)
         | exception _ -> false
       in
-      (stats.Vm_types.s_pageout_to_default, still_alive))
+      (Metrics.value stats.Vm_types.s_pageout_to_default, still_alive))
 
 (* Scenario 5: manager floods the kernel with unsolicited pre-paged
    data; the kernel only accepts while unreserved frames exist. Another
@@ -249,11 +249,11 @@ let run_duplicate_storm ~npages =
       let w = spawn_chaos_client cluster ~host:1 ~region ~npages ~value:'D' in
       fun () ->
         let dup_dropped =
-          List.assoc "dup_dropped" (IpcContext.chan_stats_to_list cluster.Kernel.c_ctx)
+          List.assoc "dup_dropped" (Metrics.values (IpcContext.chan_stats cluster.Kernel.c_ctx))
         in
         ( blocked w,
           !(w.cw_failures),
-          (Chaos.stats chaos).Chaos.s_duplicated,
+          Metrics.value (Chaos.stats chaos).Chaos.s_duplicated,
           dup_dropped ))
 
 (* Partition-and-heal: cut the link mid-workload for [dur_us], well
@@ -277,7 +277,7 @@ let run_partition_heal ~npages ~at_us ~dur_us =
         ( blocked w,
           !(w.cw_failures),
           Float.max 0.0 (!(w.cw_finish) -. !heal_t),
-          s.Chaos.s_partition_drops ))
+          Metrics.value s.Chaos.s_partition_drops ))
 
 (* Mid-data_write host crash: the manager's host dies while the client
    is dirtying pages through it. Proxy-port death must reach the
@@ -295,8 +295,8 @@ let run_crash_mid_write ~npages ~kill_after_us =
         let st = Kernel.stats cluster.Kernel.c_kernels.(0) in
         ( blocked w,
           !(w.cw_failures),
-          st.Vm_types.s_pager_deaths,
-          (Chaos.stats chaos).Chaos.s_crash_drops ))
+          Metrics.value st.Vm_types.s_pager_deaths,
+          Metrics.value (Chaos.stats chaos).Chaos.s_crash_drops ))
 
 (* Netmem ownership migration under loss: two clients ping-pong write
    grants on one page over a 10%-drop fabric, then one rereads the

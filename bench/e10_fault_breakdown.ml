@@ -169,7 +169,7 @@ let run_body ~rounds =
             "cow_batched";
           ]
         in
-        List.filter (fun (k, _) -> List.mem k wanted) (Vm_types.stats_to_list st)
+        List.filter (fun (k, _) -> List.mem k wanted) (Metrics.values st.Vm_types.s_group)
       in
       ( [
           ("zero-fill fault (anonymous memory)", phase_mean "zf");
@@ -182,8 +182,8 @@ let run_body ~rounds =
         (opens, closes),
         counters,
         [
-          ("prompt-mgr", Rt.Stats.to_list (Rt.stats prompt_rt));
-          ("laundry-mgr", Rt.Stats.to_list (Rt.stats wb_rt));
+          ("prompt-mgr", Metrics.values (Rt.stats prompt_rt).Rt.Stats.s_group);
+          ("laundry-mgr", Metrics.values (Rt.stats wb_rt).Rt.Stats.s_group);
         ] ))
 
 let run () =

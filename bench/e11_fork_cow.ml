@@ -74,6 +74,10 @@ type gen_row = {
   g_copies : int;
 }
 
+(* COW pages resolved: each fault plus the neighbours it batched. *)
+let cow_resolved stats =
+  Metrics.value stats.Vm_types.s_cow_faults + Metrics.value stats.Vm_types.s_cow_batched
+
 let generations sys task ~pages ~gens =
   let kernel = sys.Kernel.kernel in
   let stats = Kernel.stats kernel in
@@ -93,8 +97,8 @@ let generations sys task ~pages ~gens =
   in
   let rows = ref [] in
   for g = 1 to gens do
-    let steals0 = stats.Vm_types.s_cow_steals in
-    let resolved0 = stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched in
+    let steals0 = Metrics.value stats.Vm_types.s_cow_steals in
+    let resolved0 = cow_resolved stats in
     let child = Task.create kernel ~parent:task ~name:(Printf.sprintf "gen%d" g) () in
     spread_writes task eager 4;
     let depth_live = chain_depth_of task in
@@ -105,8 +109,8 @@ let generations sys task ~pages ~gens =
         done);
     Task.terminate child;
     spread_writes task lazy_ 4;
-    let steals = stats.Vm_types.s_cow_steals - steals0 in
-    let resolved = stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched - resolved0 in
+    let steals = Metrics.value stats.Vm_types.s_cow_steals - steals0 in
+    let resolved = cow_resolved stats - resolved0 in
     rows :=
       {
         g_gen = g;
@@ -126,10 +130,10 @@ let run_body ~sizes ~pages ~gens =
       let rows = generations sys task ~pages ~gens in
       let stats = Kernel.stats sys.Kernel.kernel in
       let totals =
-        ( stats.Vm_types.s_cow_steals,
-          stats.Vm_types.s_cow_faults + stats.Vm_types.s_cow_batched,
-          stats.Vm_types.s_collapses,
-          stats.Vm_types.s_chain_depth_peak )
+        ( Metrics.value stats.Vm_types.s_cow_steals,
+          cow_resolved stats,
+          Metrics.value stats.Vm_types.s_collapses,
+          Metrics.value stats.Vm_types.s_chain_depth_peak )
       in
       (forks, rows, totals))
 

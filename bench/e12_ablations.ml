@@ -58,7 +58,7 @@ let run_chain ~generations ~collapse =
       let (), fault_us =
         timed sys.Kernel.engine (fun () -> ignore (Syscalls.touch task ~addr ~write:false ()))
       in
-      let collapses = (Kernel.stats sys.Kernel.kernel).Vm_types.s_collapses in
+      let collapses = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_collapses in
       (depth, fault_us, collapses))
 
 (* --- A2: pager_cache -------------------------------------------------------- *)

@@ -14,6 +14,7 @@
 open Mach
 module Mos = Memory_object_server
 module Rt = Pager_runtime
+module Metrics = Mach_util.Metrics
 
 let page = 4096
 let rounds = 40
@@ -73,7 +74,9 @@ let run_storm ~traced =
              ok := true)));
   Engine.run sys.Kernel.engine;
   check (Printf.sprintf "storm completed (traced=%b)" traced) !ok;
-  (Engine.now sys.Kernel.engine, (Kernel.stats kernel).Vm_types.s_faults, Kernel.trace kernel)
+  ( Engine.now sys.Kernel.engine,
+    Metrics.value (Kernel.stats kernel).Vm_types.s_faults,
+    Kernel.trace kernel )
 
 let () =
   let t_on, faults_on, tr = run_storm ~traced:true in

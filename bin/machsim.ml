@@ -148,7 +148,7 @@ let run_netmem pages ops write_ratio hosts drop dup seed =
       (String.concat ", "
          (List.filter_map
             (fun (k, v) -> if v > 0 then Some (Printf.sprintf "%d %s" v k) else None)
-            (Chaos.stats_to_list c)))
+            (Mach_util.Metrics.values (Chaos.stats c).Chaos.s_group)))
       (Mach_hw.Net.retransmits cluster.Kernel.c_net));
   if !done_count = hosts then 0 else 1
 

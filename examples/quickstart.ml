@@ -11,6 +11,7 @@
 open Mach
 module Minimal_fs = Mach_pagers.Minimal_fs
 module Rng = Mach_util.Rng
+module Metrics = Mach_util.Metrics
 
 let page = 4096
 
@@ -57,7 +58,7 @@ let () =
              let stats = Kernel.stats sys.Kernel.kernel in
              Printf.printf "[%8.3f ms] scribbled on the mapping: %d faults so far (%d COW)\n"
                (Engine.now sys.Kernel.engine /. 1e3)
-               stats.Vm_types.s_faults stats.Vm_types.s_cow_faults;
+               (Metrics.value stats.Vm_types.s_faults) (Metrics.value stats.Vm_types.s_cow_faults);
              (* Write back some results. *)
              (match
                 Syscalls.read_bytes app ~addr:file_data ~len:(file_size / 2) ()
@@ -79,6 +80,6 @@ let () =
              Printf.printf "\nvm_statistics:\n";
              List.iter
                (fun (k, v) -> if v > 0 then Printf.printf "  %-24s %d\n" k v)
-               (Vm_types.stats_to_list vs.Syscalls.vs_stats))));
+               (Metrics.values vs.Syscalls.vs_stats.Vm_types.s_group))));
   Engine.run sys.Kernel.engine;
   print_endline "\nquickstart finished."

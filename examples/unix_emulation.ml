@@ -8,6 +8,7 @@
 open Mach
 module Minimal_fs = Mach_pagers.Minimal_fs
 module Unix_emu = Mach_unixemu.Unix_emu
+module Metrics = Mach_util.Metrics
 
 let page = 4096
 
@@ -43,6 +44,6 @@ let () =
              let stats = Kernel.stats sys.Kernel.kernel in
              Printf.printf
                "no buffer cache involved: %d pageins via the external pager, %d disk ops\n"
-               stats.Vm_types.s_pageins (Disk.ops disk))));
+               (Metrics.value stats.Vm_types.s_pageins) (Disk.ops disk))));
   Engine.run sys.Kernel.engine;
   print_endline "\nunix_emulation finished."

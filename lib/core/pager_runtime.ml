@@ -38,10 +38,8 @@ let serve ?service_threads
   in
   (* Every user-level manager's stats block lands in the host registry
      under its own namespace, e.g. "pager.vnode-pager.requests". *)
-  Mach_util.Metrics.register_source kctx.Mach_vm.Kctx.metrics
-    ~subsystem:("pager." ^ srv_task.t_name)
-    ~reset:(fun () -> Stats.reset (stats rt))
-    (fun () -> Stats.to_list (stats rt));
+  Mach_util.Metrics.attach kctx.Mach_vm.Kctx.metrics ~subsystem:("pager." ^ srv_task.t_name)
+    (stats rt).Stats.s_group;
   let cb =
     {
       Mos.on_init =

@@ -1,15 +1,17 @@
 module Engine = Mach_sim.Engine
 module Chaos = Mach_sim.Chaos
+module Metrics = Mach_util.Metrics
 
 type t = {
   engine : Engine.t;
   latency_us : float;
   us_per_byte : float;
-  mutable messages : int;
-  mutable bytes : int;
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable retransmits : int;
+  group : Metrics.group;
+  messages : Metrics.counter;
+  bytes : Metrics.counter;
+  dropped : Metrics.counter;
+  duplicated : Metrics.counter;
+  retransmits : Metrics.counter;
   mutable chaos : Chaos.t option;
   channels : (int * int, float ref) Hashtbl.t;
       (* per-(src,dst) link serialization: transmissions queue FIFO, so a
@@ -18,15 +20,23 @@ type t = {
 }
 
 let create engine ?(latency_us = 300.0) ?(us_per_byte = 0.8) () =
+  let group = Metrics.group () in
+  let c = Metrics.counter group in
+  let messages = c "messages" in
+  let bytes = c "bytes_carried" in
+  let dropped = c "dropped" in
+  let duplicated = c "duplicated" in
+  let retransmits = c "retransmits" in
   {
     engine;
     latency_us;
     us_per_byte;
-    messages = 0;
-    bytes = 0;
-    dropped = 0;
-    duplicated = 0;
-    retransmits = 0;
+    group;
+    messages;
+    bytes;
+    dropped;
+    duplicated;
+    retransmits;
     chaos = None;
     channels = Hashtbl.create 16;
   }
@@ -72,8 +82,8 @@ let transit_us t ~src ~dst ~bytes =
 
 let count t ~src ~dst ~bytes =
   if src <> dst then begin
-    t.messages <- t.messages + 1;
-    t.bytes <- t.bytes + bytes
+    Metrics.incr t.messages;
+    Metrics.add t.bytes bytes
   end
 
 let deliver t ~src ~dst ~bytes callback =
@@ -87,13 +97,13 @@ let deliver t ~src ~dst ~bytes callback =
     | None -> Engine.schedule t.engine ~at callback
     | Some c -> (
       match Chaos.judge c ~src ~dst with
-      | Chaos.Dropped _ -> t.dropped <- t.dropped + 1
+      | Chaos.Dropped _ -> Metrics.incr t.dropped
       | Chaos.Deliver { copies; extra_delay_us } ->
         Engine.schedule t.engine ~at:(at +. extra_delay_us) callback;
         (* A duplicate takes another trip down the wire: it lands one
            full transit later than the original. *)
         for _ = 2 to copies do
-          t.duplicated <- t.duplicated + 1;
+          Metrics.incr t.duplicated;
           Engine.schedule t.engine
             ~at:(at +. extra_delay_us +. transit_us t ~src ~dst ~bytes)
             callback
@@ -108,25 +118,10 @@ let transit t ~src ~dst ~bytes =
     if delay > 0.0 then Engine.sleep delay
   end
 
-let note_retransmit t = t.retransmits <- t.retransmits + 1
-let messages t = t.messages
-let bytes_carried t = t.bytes
-let dropped t = t.dropped
-let duplicated t = t.duplicated
-let retransmits t = t.retransmits
-
-let stats_to_list t =
-  [
-    ("messages", t.messages);
-    ("bytes_carried", t.bytes);
-    ("dropped", t.dropped);
-    ("duplicated", t.duplicated);
-    ("retransmits", t.retransmits);
-  ]
-
-let reset_stats t =
-  t.messages <- 0;
-  t.bytes <- 0;
-  t.dropped <- 0;
-  t.duplicated <- 0;
-  t.retransmits <- 0
+let note_retransmit t = Metrics.incr t.retransmits
+let messages t = Metrics.value t.messages
+let bytes_carried t = Metrics.value t.bytes
+let dropped t = Metrics.value t.dropped
+let duplicated t = Metrics.value t.duplicated
+let retransmits t = Metrics.value t.retransmits
+let stats t = t.group

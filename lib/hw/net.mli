@@ -52,5 +52,6 @@ val bytes_carried : t -> int
 val dropped : t -> int
 val duplicated : t -> int
 val retransmits : t -> int
-val stats_to_list : t -> (string * int) list
-val reset_stats : t -> unit
+
+val stats : t -> Mach_util.Metrics.group
+(** The counters above as one group (keys ["net.*"]). *)

@@ -1,6 +1,7 @@
 module Engine = Mach_sim.Engine
 module Mailbox = Mach_sim.Mailbox
 module Net = Mach_hw.Net
+module Metrics = Mach_util.Metrics
 
 (* Remote deliveries for one destination host drain through a single
    daemon thread; a burst of sends queues work instead of forking a
@@ -52,15 +53,30 @@ type chan_rx = {
 }
 
 type chan_stats = {
-  mutable c_data_pkts : int;
-  mutable c_acks : int;
-  mutable c_retransmits : int;
-  mutable c_dup_dropped : int;
-  mutable c_resequenced : int;
-  mutable c_aborts : int;
-  mutable c_resets : int;
-  mutable c_stale_epoch : int;
+  c_group : Metrics.group;
+  c_data_pkts : Metrics.counter;
+  c_acks : Metrics.counter;
+  c_retransmits : Metrics.counter;
+  c_dup_dropped : Metrics.counter;
+  c_resequenced : Metrics.counter;
+  c_aborts : Metrics.counter;
+  c_resets : Metrics.counter;
+  c_stale_epoch : Metrics.counter;
 }
+
+let create_chan_stats () =
+  let c_group = Metrics.group () in
+  let c = Metrics.counter c_group in
+  let c_data_pkts = c "data_pkts" in
+  let c_acks = c "acks" in
+  let c_retransmits = c "retransmits" in
+  let c_dup_dropped = c "dup_dropped" in
+  let c_resequenced = c "resequenced" in
+  let c_aborts = c "aborts" in
+  let c_resets = c "resets" in
+  let c_stale_epoch = c "stale_epoch" in
+  { c_group; c_data_pkts; c_acks; c_retransmits; c_dup_dropped; c_resequenced; c_aborts;
+    c_resets; c_stale_epoch }
 
 type t = {
   engine : Mach_sim.Engine.t;
@@ -89,17 +105,7 @@ let create engine net =
     retry_budget = default_retry_budget;
     txs = Hashtbl.create 8;
     rxs = Hashtbl.create 8;
-    cstats =
-      {
-        c_data_pkts = 0;
-        c_acks = 0;
-        c_retransmits = 0;
-        c_dup_dropped = 0;
-        c_resequenced = 0;
-        c_aborts = 0;
-        c_resets = 0;
-        c_stale_epoch = 0;
-      };
+    cstats = create_chan_stats ();
     ports = Hashtbl.create 64;
   }
 
@@ -206,7 +212,7 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
   match Hashtbl.find_opt t.txs (src, dst) with
   | None -> ()
   | Some chan ->
-    if epoch <> chan.tx_epoch then t.cstats.c_stale_epoch <- t.cstats.c_stale_epoch + 1
+    if epoch <> chan.tx_epoch then Metrics.incr t.cstats.c_stale_epoch
     else begin
       let progress = ref false in
       for seq = 1 to cum do
@@ -229,20 +235,20 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
 
 and rx_ingest t ~src ~dst ~epoch ~seq thunk =
   let chan = rx_chan t ~src ~dst in
-  if epoch < chan.rx_epoch then t.cstats.c_stale_epoch <- t.cstats.c_stale_epoch + 1
+  if epoch < chan.rx_epoch then Metrics.incr t.cstats.c_stale_epoch
   else begin
     if epoch > chan.rx_epoch then begin
       (* Peer reset the link (heal, restart): adopt the new epoch and
          forget everything buffered from the old one. *)
-      if chan.rx_epoch > 0 then t.cstats.c_resets <- t.cstats.c_resets + 1;
+      if chan.rx_epoch > 0 then Metrics.incr t.cstats.c_resets;
       chan.rx_epoch <- epoch;
       chan.rx_next <- 1;
       Hashtbl.reset chan.rx_hold
     end;
     if seq < chan.rx_next || Hashtbl.mem chan.rx_hold seq then
-      t.cstats.c_dup_dropped <- t.cstats.c_dup_dropped + 1
+      Metrics.incr t.cstats.c_dup_dropped
     else begin
-      if seq <> chan.rx_next then t.cstats.c_resequenced <- t.cstats.c_resequenced + 1;
+      if seq <> chan.rx_next then Metrics.incr t.cstats.c_resequenced;
       Hashtbl.replace chan.rx_hold seq thunk;
       let continue = ref true in
       while !continue do
@@ -256,7 +262,7 @@ and rx_ingest t ~src ~dst ~epoch ~seq thunk =
     end;
     (* Always ack, even for duplicates: a lost ack is indistinguishable
        from a lost packet, and the re-ack is what stops the retransmit. *)
-    t.cstats.c_acks <- t.cstats.c_acks + 1;
+    Metrics.incr t.cstats.c_acks;
     let cum = chan.rx_next - 1 in
     Net.deliver t.net ~src:dst ~dst:src ~bytes:ack_bytes (fun () ->
         handle_ack t ~src ~dst ~epoch ~cum)
@@ -284,7 +290,7 @@ and arm_timer t chan =
              Subsequent sends fail fast with [`Unreachable]. *)
           chan.tx_down <- true;
           Hashtbl.reset chan.tx_unacked;
-          t.cstats.c_aborts <- t.cstats.c_aborts + 1
+          Metrics.incr t.cstats.c_aborts
         end
         else begin
           let pending =
@@ -293,7 +299,7 @@ and arm_timer t chan =
           in
           List.iter
             (fun pk ->
-              t.cstats.c_retransmits <- t.cstats.c_retransmits + 1;
+              Metrics.incr t.cstats.c_retransmits;
               Net.note_retransmit t.net;
               transmit t chan pk)
             pending;
@@ -313,7 +319,7 @@ let remote_deliver t ~src ~dst ~bytes thunk =
       let pk = { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk } in
       chan.tx_next <- chan.tx_next + 1;
       Hashtbl.replace chan.tx_unacked pk.pk_seq pk;
-      t.cstats.c_data_pkts <- t.cstats.c_data_pkts + 1;
+      Metrics.incr t.cstats.c_data_pkts;
       transmit t chan pk;
       if Hashtbl.length chan.tx_unacked = 1 then arm_timer t chan;
       Ok ()
@@ -330,7 +336,7 @@ let reset_tx t chan =
   chan.tx_strikes <- 0;
   chan.tx_timer_gen <- chan.tx_timer_gen + 1;
   chan.tx_down <- false;
-  t.cstats.c_resets <- t.cstats.c_resets + 1
+  Metrics.incr t.cstats.c_resets
 
 (* Heal semantics: a direction that survived the partition (watchdog
    never tripped) still holds its unacked packets — leave it alone and
@@ -388,26 +394,4 @@ let restart_host t ~host = reset_host_chans t ~host
 
 (* --- accounting ---------------------------------------------------------- *)
 
-let chan_stats_to_list t =
-  let s = t.cstats in
-  [
-    ("data_pkts", s.c_data_pkts);
-    ("acks", s.c_acks);
-    ("retransmits", s.c_retransmits);
-    ("dup_dropped", s.c_dup_dropped);
-    ("resequenced", s.c_resequenced);
-    ("aborts", s.c_aborts);
-    ("resets", s.c_resets);
-    ("stale_epoch", s.c_stale_epoch);
-  ]
-
-let reset_chan_stats t =
-  let s = t.cstats in
-  s.c_data_pkts <- 0;
-  s.c_acks <- 0;
-  s.c_retransmits <- 0;
-  s.c_dup_dropped <- 0;
-  s.c_resequenced <- 0;
-  s.c_aborts <- 0;
-  s.c_resets <- 0;
-  s.c_stale_epoch <- 0
+let chan_stats t = t.cstats.c_group

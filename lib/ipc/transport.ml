@@ -4,51 +4,33 @@ module Mailbox = Mach_sim.Mailbox
 module Waitq = Mach_sim.Waitq
 module Machine = Mach_hw.Machine
 module Net = Mach_hw.Net
+module Metrics = Mach_util.Metrics
 
 type ipc_stats = {
-  mutable s_msgs_sent : int;
-  mutable s_bytes_copied : int;
-  mutable s_bytes_mapped : int;
-  mutable s_copyins : int;
-  mutable s_lazy_copyout_faults : int;
-  mutable s_rpc_fastpath : int;
-  mutable s_handoffs : int;
-  mutable s_spurious_wakeups : int;
+  s_group : Metrics.group;
+  s_msgs_sent : Metrics.counter;
+  s_bytes_copied : Metrics.counter;
+  s_bytes_mapped : Metrics.counter;
+  s_copyins : Metrics.counter;
+  s_lazy_copyout_faults : Metrics.counter;
+  s_rpc_fastpath : Metrics.counter;
+  s_handoffs : Metrics.counter;
+  s_spurious_wakeups : Metrics.counter;
 }
 
-let fresh_ipc_stats () =
-  {
-    s_msgs_sent = 0;
-    s_bytes_copied = 0;
-    s_bytes_mapped = 0;
-    s_copyins = 0;
-    s_lazy_copyout_faults = 0;
-    s_rpc_fastpath = 0;
-    s_handoffs = 0;
-    s_spurious_wakeups = 0;
-  }
-
-let reset_ipc_stats s =
-  s.s_msgs_sent <- 0;
-  s.s_bytes_copied <- 0;
-  s.s_bytes_mapped <- 0;
-  s.s_copyins <- 0;
-  s.s_lazy_copyout_faults <- 0;
-  s.s_rpc_fastpath <- 0;
-  s.s_handoffs <- 0;
-  s.s_spurious_wakeups <- 0
-
-let ipc_stats_to_list s =
-  [
-    ("msgs_sent", s.s_msgs_sent);
-    ("bytes_copied", s.s_bytes_copied);
-    ("bytes_mapped", s.s_bytes_mapped);
-    ("copyins", s.s_copyins);
-    ("lazy_copyout_faults", s.s_lazy_copyout_faults);
-    ("rpc_fastpath", s.s_rpc_fastpath);
-    ("handoffs", s.s_handoffs);
-    ("spurious_wakeups", s.s_spurious_wakeups);
-  ]
+let create_ipc_stats () =
+  let s_group = Metrics.group () in
+  let c = Metrics.counter s_group in
+  let s_msgs_sent = c "msgs_sent" in
+  let s_bytes_copied = c "bytes_copied" in
+  let s_bytes_mapped = c "bytes_mapped" in
+  let s_copyins = c "copyins" in
+  let s_lazy_copyout_faults = c "lazy_copyout_faults" in
+  let s_rpc_fastpath = c "rpc_fastpath" in
+  let s_handoffs = c "handoffs" in
+  let s_spurious_wakeups = c "spurious_wakeups" in
+  { s_group; s_msgs_sent; s_bytes_copied; s_bytes_mapped; s_copyins; s_lazy_copyout_faults;
+    s_rpc_fastpath; s_handoffs; s_spurious_wakeups }
 
 type node = {
   node_host : int;
@@ -126,7 +108,7 @@ let enqueue_local node ?timeout ~donate port msg =
     end;
     match Mailbox.send q msg with
     | () ->
-      stats.s_rpc_fastpath <- stats.s_rpc_fastpath + 1;
+      Metrics.incr stats.s_rpc_fastpath;
       Ok ()
     | exception Mailbox.Closed -> Error Send_invalid_port
   end
@@ -150,9 +132,9 @@ let send node ?timeout msg =
   else begin
     node_compute node (send_cost_us node msg);
     let stats = node.node_stats in
-    stats.s_msgs_sent <- stats.s_msgs_sent + 1;
-    stats.s_bytes_copied <- stats.s_bytes_copied + Message.inline_bytes msg;
-    stats.s_bytes_mapped <- stats.s_bytes_mapped + Message.mapped_bytes msg;
+    Metrics.incr stats.s_msgs_sent;
+    Metrics.add stats.s_bytes_copied (Message.inline_bytes msg);
+    Metrics.add stats.s_bytes_mapped (Message.mapped_bytes msg);
     (* The port may have died while we were copying. *)
     if not (Port.alive dest) then Error Send_invalid_port
     else if Port.home dest = node.node_host then begin
@@ -205,7 +187,7 @@ let charge_receive node msg =
   match msg.Message.header.Message.handoff with
   | Some ticket ->
     msg.Message.header.Message.handoff <- None;
-    node.node_stats.s_handoffs <- node.node_stats.s_handoffs + 1;
+    Metrics.incr node.node_stats.s_handoffs;
     if ticket >= 0 then (
       match node.node_sched with
       | Some s -> Sched.claim_handoff s ~ticket ~name:(Engine.self_name ())
@@ -257,7 +239,7 @@ let receive_any node space ?timeout () =
     | None ->
       if after_wakeup then begin
         let s = node.node_stats in
-        s.s_spurious_wakeups <- s.s_spurious_wakeups + 1
+        Metrics.incr s.s_spurious_wakeups
       end;
       wait ()
   and wait () =

@@ -13,26 +13,25 @@
       bytes / BW — copy-object pages do not transit); the sender does
       not wait for remote queueing. *)
 
+module Metrics = Mach_util.Metrics
+
 (** Per-host IPC counters (hung off the node shared by a host's kernel
-    context and tasks). *)
+    context and tasks; keys ["ipc.*"]). *)
 type ipc_stats = {
-  mutable s_msgs_sent : int;
-  mutable s_bytes_copied : int;  (** inline + [Copy_transfer] bytes physically copied at send *)
-  mutable s_bytes_mapped : int;  (** bytes moved by mapping (incl. copy objects) *)
-  mutable s_copyins : int;  (** [vm_map_copyin] snapshots taken *)
-  mutable s_lazy_copyout_faults : int;  (** faults materializing lazily copied-out pages *)
-  mutable s_rpc_fastpath : int;  (** sends that handed off directly to a blocked receiver *)
-  mutable s_handoffs : int;
+  s_group : Metrics.group;
+  s_msgs_sent : Metrics.counter;
+  s_bytes_copied : Metrics.counter;  (** inline + [Copy_transfer] bytes physically copied at send *)
+  s_bytes_mapped : Metrics.counter;  (** bytes moved by mapping (incl. copy objects) *)
+  s_copyins : Metrics.counter;  (** [vm_map_copyin] snapshots taken *)
+  s_lazy_copyout_faults : Metrics.counter;  (** faults materializing lazily copied-out pages *)
+  s_rpc_fastpath : Metrics.counter;  (** sends that handed off directly to a blocked receiver *)
+  s_handoffs : Metrics.counter;
       (** receives completed via handoff: the blocked receiver was woken
           by a fast-path send and skipped its context-switch charge *)
-  mutable s_spurious_wakeups : int;  (** receive-any wakeups that found no ready port *)
+  s_spurious_wakeups : Metrics.counter;  (** receive-any wakeups that found no ready port *)
 }
 
-val fresh_ipc_stats : unit -> ipc_stats
-val ipc_stats_to_list : ipc_stats -> (string * int) list
-
-val reset_ipc_stats : ipc_stats -> unit
-(** Zero every counter (the registry's shared reset idiom). *)
+val create_ipc_stats : unit -> ipc_stats
 
 type node = {
   node_host : int;  (** host id of the calling task *)

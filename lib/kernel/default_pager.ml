@@ -141,9 +141,8 @@ let start kctx ~disk =
     { kctx; disk; space; node; rt; free_blocks = Queue.create (); stored = 0 }
   in
   t_ref := Some t;
-  Mach_util.Metrics.register_source kctx.Kctx.metrics ~subsystem:"pager.default-pager"
-    ~reset:(fun () -> Rt.Stats.reset (Rt.stats rt))
-    (fun () -> Rt.Stats.to_list (Rt.stats rt));
+  Mach_util.Metrics.attach kctx.Kctx.metrics ~subsystem:"pager.default-pager"
+    (Rt.stats rt).Rt.Stats.s_group;
   for b = 0 to Disk.blocks disk - 1 do
     Queue.add b t.free_blocks
   done;

@@ -60,18 +60,12 @@ let boot engine ctx net ?trace ~host config =
      every host; register them once, on host 0, so merged cluster
      snapshots don't multiply them. *)
   if host = 0 then begin
-    let metrics = kctx.Kctx.metrics in
-    Mach_util.Metrics.register_source metrics ~subsystem:"net"
-      ~reset:(fun () -> Net.reset_stats net)
-      (fun () -> Net.stats_to_list net);
-    Mach_util.Metrics.register_source metrics ~subsystem:"chan"
-      ~reset:(fun () -> Mach_ipc.Context.reset_chan_stats ctx)
-      (fun () -> Mach_ipc.Context.chan_stats_to_list ctx);
-    Mach_util.Metrics.register_source metrics ~subsystem:"chaos"
-      ~reset:(fun () ->
-        match Net.chaos net with Some c -> Mach_sim.Chaos.reset_stats c | None -> ())
-      (fun () ->
-        match Net.chaos net with Some c -> Mach_sim.Chaos.stats_to_list c | None -> [])
+    let attach = Mach_util.Metrics.attach kctx.Kctx.metrics in
+    attach ~subsystem:"net" (Net.stats net);
+    attach ~subsystem:"chan" (Mach_ipc.Context.chan_stats ctx);
+    Option.iter
+      (fun c -> attach ~subsystem:"chaos" (Mach_sim.Chaos.stats c).Mach_sim.Chaos.s_group)
+      (Net.chaos net)
   end;
   Pager_service.start kctx;
   Mach_vm.Pageout.start kctx;

@@ -7,6 +7,7 @@ module Vm_map = Mach_vm.Vm_map
 module Access = Mach_vm.Access
 module Mos = Mach.Memory_object_server
 module Rt = Mach.Pager_runtime
+module Metrics = Mach_util.Metrics
 
 type strategy = Eager_copy | Copy_on_reference | Pre_paging of int
 type migration = { mg_task : task; mg_freeze_us : float }
@@ -29,7 +30,7 @@ let server_task t = Mos.task t.srv
 let runtime_stats t = Rt.stats t.rt
 
 let pages_transferred t =
-  t.shipped + (Rt.stats t.rt).Rt.Stats.s_pages_served
+  t.shipped + Metrics.value (Rt.stats t.rt).Rt.Stats.s_pages_served
 
 let page_size_of task =
   (Task.kernel task).Mach_kernel.Ktypes.k_kctx.Mach_vm.Kctx.page_size

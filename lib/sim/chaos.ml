@@ -1,4 +1,5 @@
 module Rng = Mach_util.Rng
+module Metrics = Mach_util.Metrics
 
 type plan = {
   drop : float;
@@ -10,29 +11,32 @@ type plan = {
 let perfect = { drop = 0.0; duplicate = 0.0; reorder = 0.0; jitter_us = 0.0 }
 
 type stats = {
-  mutable s_dropped : int;
-  mutable s_duplicated : int;
-  mutable s_reordered : int;
-  mutable s_partition_drops : int;
-  mutable s_crash_drops : int;
-  mutable s_partitions : int;
-  mutable s_heals : int;
-  mutable s_crashes : int;
-  mutable s_restarts : int;
+  s_group : Metrics.group;
+  s_dropped : Metrics.counter;
+  s_duplicated : Metrics.counter;
+  s_reordered : Metrics.counter;
+  s_partition_drops : Metrics.counter;
+  s_crash_drops : Metrics.counter;
+  s_partitions : Metrics.counter;
+  s_heals : Metrics.counter;
+  s_crashes : Metrics.counter;
+  s_restarts : Metrics.counter;
 }
 
-let fresh_stats () =
-  {
-    s_dropped = 0;
-    s_duplicated = 0;
-    s_reordered = 0;
-    s_partition_drops = 0;
-    s_crash_drops = 0;
-    s_partitions = 0;
-    s_heals = 0;
-    s_crashes = 0;
-    s_restarts = 0;
-  }
+let create_stats () =
+  let s_group = Metrics.group () in
+  let c = Metrics.counter s_group in
+  let s_dropped = c "dropped" in
+  let s_duplicated = c "duplicated" in
+  let s_reordered = c "reordered" in
+  let s_partition_drops = c "partition_drops" in
+  let s_crash_drops = c "crash_drops" in
+  let s_partitions = c "partitions" in
+  let s_heals = c "heals" in
+  let s_crashes = c "crashes" in
+  let s_restarts = c "restarts" in
+  { s_group; s_dropped; s_duplicated; s_reordered; s_partition_drops; s_crash_drops;
+    s_partitions; s_heals; s_crashes; s_restarts }
 
 type t = {
   rng : Rng.t;
@@ -54,7 +58,7 @@ let create ?(seed = 0x43484F53) () =
     default_plan = perfect;
     partitions = Hashtbl.create 8;
     crashed = Hashtbl.create 4;
-    stats = fresh_stats ();
+    stats = create_stats ();
     trace = None;
     on_crash = [];
     on_restart = [];
@@ -84,14 +88,14 @@ let link a b = (min a b, max a b)
 let partition t a b =
   if not (Hashtbl.mem t.partitions (link a b)) then begin
     Hashtbl.replace t.partitions (link a b) ();
-    t.stats.s_partitions <- t.stats.s_partitions + 1;
+    Metrics.incr t.stats.s_partitions;
     point t (Printf.sprintf "partition h%d|h%d" a b)
   end
 
 let heal t a b =
   if Hashtbl.mem t.partitions (link a b) then begin
     Hashtbl.remove t.partitions (link a b);
-    t.stats.s_heals <- t.stats.s_heals + 1;
+    Metrics.incr t.stats.s_heals;
     point t (Printf.sprintf "heal h%d|h%d" a b);
     List.iter (fun f -> f a b) (List.rev t.on_heal)
   end
@@ -102,7 +106,7 @@ let host_up t h = not (Hashtbl.mem t.crashed h)
 let crash_host t h =
   if host_up t h then begin
     Hashtbl.replace t.crashed h ();
-    t.stats.s_crashes <- t.stats.s_crashes + 1;
+    Metrics.incr t.stats.s_crashes;
     point t (Printf.sprintf "crash h%d" h);
     List.iter (fun f -> f h) (List.rev t.on_crash)
   end
@@ -110,7 +114,7 @@ let crash_host t h =
 let restart_host t h =
   if not (host_up t h) then begin
     Hashtbl.remove t.crashed h;
-    t.stats.s_restarts <- t.stats.s_restarts + 1;
+    Metrics.incr t.stats.s_restarts;
     point t (Printf.sprintf "restart h%d" h);
     List.iter (fun f -> f h) (List.rev t.on_restart)
   end
@@ -128,26 +132,26 @@ type verdict =
    and the message sequence. *)
 let judge t ~src ~dst =
   if not (host_up t src && host_up t dst) then begin
-    t.stats.s_crash_drops <- t.stats.s_crash_drops + 1;
+    Metrics.incr t.stats.s_crash_drops;
     point t (Printf.sprintf "crash_drop h%d->h%d" src dst);
     Dropped `Host_down
   end
   else if partitioned t src dst then begin
-    t.stats.s_partition_drops <- t.stats.s_partition_drops + 1;
+    Metrics.incr t.stats.s_partition_drops;
     point t (Printf.sprintf "partition_drop h%d->h%d" src dst);
     Dropped `Partitioned
   end
   else begin
     let plan = plan_for t ~src ~dst in
     if plan.drop > 0.0 && Rng.float t.rng 1.0 < plan.drop then begin
-      t.stats.s_dropped <- t.stats.s_dropped + 1;
+      Metrics.incr t.stats.s_dropped;
       point t (Printf.sprintf "drop h%d->h%d" src dst);
       Dropped `Fault
     end
     else begin
       let copies =
         if plan.duplicate > 0.0 && Rng.float t.rng 1.0 < plan.duplicate then begin
-          t.stats.s_duplicated <- t.stats.s_duplicated + 1;
+          Metrics.incr t.stats.s_duplicated;
           point t (Printf.sprintf "duplicate h%d->h%d" src dst);
           2
         end
@@ -155,7 +159,7 @@ let judge t ~src ~dst =
       in
       let extra_delay_us =
         if plan.reorder > 0.0 && Rng.float t.rng 1.0 < plan.reorder then begin
-          t.stats.s_reordered <- t.stats.s_reordered + 1;
+          Metrics.incr t.stats.s_reordered;
           point t (Printf.sprintf "reorder h%d->h%d" src dst);
           (* Enough delay to let later traffic overtake this message. *)
           Rng.float t.rng (Float.max plan.jitter_us 1.0)
@@ -190,32 +194,8 @@ let of_spec spec =
   set_default_plan t !plan;
   t
 
-let stats_to_list t =
-  let s = t.stats in
-  [
-    ("dropped", s.s_dropped);
-    ("duplicated", s.s_duplicated);
-    ("reordered", s.s_reordered);
-    ("partition_drops", s.s_partition_drops);
-    ("crash_drops", s.s_crash_drops);
-    ("partitions", s.s_partitions);
-    ("heals", s.s_heals);
-    ("crashes", s.s_crashes);
-    ("restarts", s.s_restarts);
-  ]
-
 let faults_injected t =
   let s = t.stats in
-  s.s_dropped + s.s_duplicated + s.s_reordered + s.s_partition_drops + s.s_crash_drops
+  List.fold_left (fun n c -> n + Metrics.value c) 0
+    [ s.s_dropped; s.s_duplicated; s.s_reordered; s.s_partition_drops; s.s_crash_drops ]
 
-let reset_stats t =
-  let s = t.stats in
-  s.s_dropped <- 0;
-  s.s_duplicated <- 0;
-  s.s_reordered <- 0;
-  s.s_partition_drops <- 0;
-  s.s_crash_drops <- 0;
-  s.s_partitions <- 0;
-  s.s_heals <- 0;
-  s.s_crashes <- 0;
-  s.s_restarts <- 0

@@ -18,16 +18,20 @@ type plan = {
 val perfect : plan
 (** No faults: every field 0. *)
 
+module Metrics = Mach_util.Metrics
+
+(** Injected-fault counters (keys ["chaos.*"]). *)
 type stats = {
-  mutable s_dropped : int;
-  mutable s_duplicated : int;
-  mutable s_reordered : int;
-  mutable s_partition_drops : int;
-  mutable s_crash_drops : int;
-  mutable s_partitions : int;
-  mutable s_heals : int;
-  mutable s_crashes : int;
-  mutable s_restarts : int;
+  s_group : Metrics.group;
+  s_dropped : Metrics.counter;
+  s_duplicated : Metrics.counter;
+  s_reordered : Metrics.counter;
+  s_partition_drops : Metrics.counter;
+  s_crash_drops : Metrics.counter;
+  s_partitions : Metrics.counter;
+  s_heals : Metrics.counter;
+  s_crashes : Metrics.counter;
+  s_restarts : Metrics.counter;
 }
 
 type t
@@ -84,6 +88,4 @@ val judge : t -> src:int -> dst:int -> verdict
 (** {1 Accounting} *)
 
 val stats : t -> stats
-val stats_to_list : t -> (string * int) list
 val faults_injected : t -> int
-val reset_stats : t -> unit

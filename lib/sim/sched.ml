@@ -26,66 +26,42 @@
    round trip and without a context-switch charge. An unclaimed
    reservation expires and the CPU is re-dispatched. *)
 
+module Metrics = Mach_util.Metrics
+
 type stats = {
-  mutable s_switches : int;
-  mutable s_preemptions : int;
-  mutable s_migrations : int;
-  mutable s_steals : int;
-  mutable s_handoff_claims : int;
-  mutable s_handoff_expired : int;
-  mutable s_affinity_hits : int;
-  mutable s_direct_dispatches : int;
-  mutable s_enqueues : int;
-  mutable s_queue_depth_peak : int;
-  mutable s_queue_depth_sum : int;
-  mutable s_idle_with_waiter : int;
+  s_group : Metrics.group;
+  s_switches : Metrics.counter;
+  s_preemptions : Metrics.counter;
+  s_migrations : Metrics.counter;
+  s_steals : Metrics.counter;
+  s_handoff_claims : Metrics.counter;
+  s_handoff_expired : Metrics.counter;
+  s_affinity_hits : Metrics.counter;
+  s_direct_dispatches : Metrics.counter;
+  s_enqueues : Metrics.counter;
+  s_queue_depth_peak : Metrics.counter;
+  s_queue_depth_sum : Metrics.counter;
+  s_idle_with_waiter : Metrics.counter;
 }
 
-let fresh_stats () =
-  {
-    s_switches = 0;
-    s_preemptions = 0;
-    s_migrations = 0;
-    s_steals = 0;
-    s_handoff_claims = 0;
-    s_handoff_expired = 0;
-    s_affinity_hits = 0;
-    s_direct_dispatches = 0;
-    s_enqueues = 0;
-    s_queue_depth_peak = 0;
-    s_queue_depth_sum = 0;
-    s_idle_with_waiter = 0;
-  }
-
-let reset_stats s =
-  s.s_switches <- 0;
-  s.s_preemptions <- 0;
-  s.s_migrations <- 0;
-  s.s_steals <- 0;
-  s.s_handoff_claims <- 0;
-  s.s_handoff_expired <- 0;
-  s.s_affinity_hits <- 0;
-  s.s_direct_dispatches <- 0;
-  s.s_enqueues <- 0;
-  s.s_queue_depth_peak <- 0;
-  s.s_queue_depth_sum <- 0;
-  s.s_idle_with_waiter <- 0
-
-let stats_to_list s =
-  [
-    ("switches", s.s_switches);
-    ("preemptions", s.s_preemptions);
-    ("migrations", s.s_migrations);
-    ("steals", s.s_steals);
-    ("handoff_claims", s.s_handoff_claims);
-    ("handoff_expired", s.s_handoff_expired);
-    ("affinity_hits", s.s_affinity_hits);
-    ("direct_dispatches", s.s_direct_dispatches);
-    ("enqueues", s.s_enqueues);
-    ("queue_depth_peak", s.s_queue_depth_peak);
-    ("queue_depth_sum", s.s_queue_depth_sum);
-    ("idle_with_waiter", s.s_idle_with_waiter);
-  ]
+let create_stats () =
+  let s_group = Metrics.group () in
+  let c = Metrics.counter s_group in
+  let s_switches = c "switches" in
+  let s_preemptions = c "preemptions" in
+  let s_migrations = c "migrations" in
+  let s_steals = c "steals" in
+  let s_handoff_claims = c "handoff_claims" in
+  let s_handoff_expired = c "handoff_expired" in
+  let s_affinity_hits = c "affinity_hits" in
+  let s_direct_dispatches = c "direct_dispatches" in
+  let s_enqueues = c "enqueues" in
+  let s_queue_depth_peak = c "queue_depth_peak" in
+  let s_queue_depth_sum = c "queue_depth_sum" in
+  let s_idle_with_waiter = c "idle_with_waiter" in
+  { s_group; s_switches; s_preemptions; s_migrations; s_steals; s_handoff_claims;
+    s_handoff_expired; s_affinity_hits; s_direct_dispatches; s_enqueues; s_queue_depth_peak;
+    s_queue_depth_sum; s_idle_with_waiter }
 
 type reservation = { r_ticket : int; mutable r_for : string option }
 
@@ -134,7 +110,7 @@ let create eng ~cpus ?(quantum_us = 10_000.0) ~context_switch_us () =
     next_ticket = 0;
     quantum_us;
     context_switch_us;
-    stats = fresh_stats ();
+    stats = create_stats ();
     trace = None;
   }
 
@@ -169,7 +145,7 @@ let free c = c.c_running = None && c.c_reserved = None
    raised, so property tests can assert the counter stays zero. *)
 let check_idle_invariant t =
   if Array.exists free t.cpus && queued t > 0 then
-    t.stats.s_idle_with_waiter <- t.stats.s_idle_with_waiter + 1
+    Metrics.incr t.stats.s_idle_with_waiter
 
 let longest_runq t =
   let best = ref None in
@@ -192,16 +168,16 @@ let dispatch t cpu =
     match Queue.take_opt cpu.c_runq with
     | Some w ->
       cpu.c_running <- Some w.w_name;
-      t.stats.s_switches <- t.stats.s_switches + 1;
+      Metrics.incr t.stats.s_switches;
       w.w_wake cpu
     | None -> (
       match longest_runq t with
       | Some victim ->
         let w = Queue.take victim.c_runq in
         cpu.c_running <- Some w.w_name;
-        t.stats.s_switches <- t.stats.s_switches + 1;
-        t.stats.s_steals <- t.stats.s_steals + 1;
-        t.stats.s_migrations <- t.stats.s_migrations + 1;
+        Metrics.incr t.stats.s_switches;
+        Metrics.incr t.stats.s_steals;
+        Metrics.incr t.stats.s_migrations;
         w.w_wake cpu
       | None -> check_idle_invariant t)
   end
@@ -220,8 +196,8 @@ type entry = Entry_direct | Entry_queued | Entry_handoff
 
 let take t cpu name =
   cpu.c_running <- Some name;
-  t.stats.s_direct_dispatches <- t.stats.s_direct_dispatches + 1;
-  if cpu.c_last = name then t.stats.s_affinity_hits <- t.stats.s_affinity_hits + 1
+  Metrics.incr t.stats.s_direct_dispatches;
+  if cpu.c_last = name then Metrics.incr t.stats.s_affinity_hits
 
 let first_free t =
   let found = ref None in
@@ -247,7 +223,7 @@ let acquire t name =
       Hashtbl.remove t.pending_handoff name;
       consume_reservation t cpu;
       cpu.c_running <- Some name;
-      t.stats.s_handoff_claims <- t.stats.s_handoff_claims + 1;
+      Metrics.incr t.stats.s_handoff_claims;
       Some (cpu, Entry_handoff)
     | Some _ ->
       (* The reservation expired (or was re-issued) before we computed. *)
@@ -267,16 +243,16 @@ let acquire t name =
       match first_free t with
       | Some c ->
         take t c name;
-        if home <> None then t.stats.s_migrations <- t.stats.s_migrations + 1;
+        if home <> None then Metrics.incr t.stats.s_migrations;
         (c, Entry_direct)
       | None ->
         let target =
           match home with Some h -> t.cpus.(h) | None -> shortest_runq t
         in
-        t.stats.s_enqueues <- t.stats.s_enqueues + 1;
+        Metrics.incr t.stats.s_enqueues;
         let depth = queued t + 1 in
-        t.stats.s_queue_depth_sum <- t.stats.s_queue_depth_sum + depth;
-        if depth > t.stats.s_queue_depth_peak then t.stats.s_queue_depth_peak <- depth;
+        Metrics.add t.stats.s_queue_depth_sum depth;
+        Metrics.raise_to t.stats.s_queue_depth_peak depth;
         let cpu =
           Engine.suspend (fun _eng k -> Queue.add { w_name = name; w_wake = k } target.c_runq)
         in
@@ -299,7 +275,7 @@ let rec run_burst t cpu name remaining =
   else if Queue.length cpu.c_runq > 0 then begin
     (* Quantum expired with local contention: preempt. Requeue at the
        tail first so the dispatch below picks the earlier waiter. *)
-    t.stats.s_preemptions <- t.stats.s_preemptions + 1;
+    Metrics.incr t.stats.s_preemptions;
     trace_point t "preempt";
     note_affinity t cpu name;
     let cpu' =
@@ -358,7 +334,7 @@ let donate t =
             | Some name -> Hashtbl.remove t.pending_handoff name
             | None -> ());
             consume_reservation t cpu;
-            t.stats.s_handoff_expired <- t.stats.s_handoff_expired + 1;
+            Metrics.incr t.stats.s_handoff_expired;
             dispatch t cpu
           | _ -> ());
       Some ticket

@@ -22,19 +22,23 @@
 
 type t
 
+module Metrics = Mach_util.Metrics
+
+(** The scheduler's counters, one group per host (keys ["sched.*"]). *)
 type stats = {
-  mutable s_switches : int;  (** run-queue dispatches (each charged context-switch time) *)
-  mutable s_preemptions : int;  (** quantum expiries that yielded the processor *)
-  mutable s_migrations : int;  (** bursts begun on a different CPU than the thread's last *)
-  mutable s_steals : int;  (** idle CPUs that took a waiter from another run queue *)
-  mutable s_handoff_claims : int;  (** bursts entered on a donated processor, charge-free *)
-  mutable s_handoff_expired : int;  (** donations the beneficiary never claimed *)
-  mutable s_affinity_hits : int;  (** direct acquires of the thread's previous CPU *)
-  mutable s_direct_dispatches : int;  (** acquires that found an idle CPU (no queueing) *)
-  mutable s_enqueues : int;  (** acquires that had to wait on a run queue *)
-  mutable s_queue_depth_peak : int;  (** max total queued threads at any enqueue *)
-  mutable s_queue_depth_sum : int;  (** summed depth at enqueue (avg = sum/enqueues) *)
-  mutable s_idle_with_waiter : int;  (** invariant oracle; stays 0 unless stealing is broken *)
+  s_group : Metrics.group;
+  s_switches : Metrics.counter;  (** run-queue dispatches (each charged context-switch time) *)
+  s_preemptions : Metrics.counter;  (** quantum expiries that yielded the processor *)
+  s_migrations : Metrics.counter;  (** bursts begun on a different CPU than the thread's last *)
+  s_steals : Metrics.counter;  (** idle CPUs that took a waiter from another run queue *)
+  s_handoff_claims : Metrics.counter;  (** bursts entered on a donated processor, charge-free *)
+  s_handoff_expired : Metrics.counter;  (** donations the beneficiary never claimed *)
+  s_affinity_hits : Metrics.counter;  (** direct acquires of the thread's previous CPU *)
+  s_direct_dispatches : Metrics.counter;  (** acquires that found an idle CPU (no queueing) *)
+  s_enqueues : Metrics.counter;  (** acquires that had to wait on a run queue *)
+  s_queue_depth_peak : Metrics.counter;  (** max total queued threads at any enqueue *)
+  s_queue_depth_sum : Metrics.counter;  (** summed depth at enqueue (avg = sum/enqueues) *)
+  s_idle_with_waiter : Metrics.counter;  (** invariant oracle; stays 0 unless stealing is broken *)
 }
 
 val create :
@@ -59,10 +63,6 @@ val claim_handoff : t -> ticket:int -> name:string -> unit
 
 val cpu_count : t -> int
 val stats : t -> stats
-val stats_to_list : stats -> (string * int) list
-
-val reset_stats : stats -> unit
-(** Zero every counter (the registry's shared reset idiom). *)
 
 val set_trace : t -> Trace.t option -> unit
 (** Wire the host's trace: acquire entries ([enter_direct] /

@@ -1,12 +1,13 @@
 (* One registry for every subsystem's statistics.
 
-   The design point is that hot paths keep their cost profile: a
-   subsystem's existing mutable record of [s_foo <- s_foo + 1] fields
-   *is* its set of pre-registered handles — the registry holds only a
-   read closure over it ([register_source]) and never sits on the
-   increment path. New metrics that have no record to live in get a
-   direct [counter] handle (one mutable int), a sampled [gauge] (read
-   at snapshot time), or a [histogram] (a [Stats.t] reduced to
+   Hot paths keep their cost profile: a subsystem's stats block is a
+   record of counter handles, each declared into the block's group with
+   its key string, so the key is written once and snapshots are derived
+   from the group. An increment is one store on the handle; the
+   registry never sits on that path. Groups need no registry to exist
+   because some blocks (the network fabric, the chaos oracle) are
+   created before any host boots. Metrics with no block to live in get
+   a sampled [gauge] or a [histogram] (a [Stats.t] reduced to
    count/mean/percentiles at snapshot time).
 
    A snapshot is a flat, sorted [(key, value)] list with keys
@@ -15,80 +16,43 @@
    the machsim CLI. Duplicate keys (two pagers registered under one
    name) sum. *)
 
-type counter = { c_key : string; mutable c_value : int }
-type histogram = { h_key : string; mutable h_samples : Stats.t }
+type counter = { c_name : string; mutable c_value : int }
+type group = { mutable g_counters : counter list (* reverse declaration order *) }
 
 type entry =
-  | Counter of counter
+  | Group of group
   | Gauge of (unit -> int)
-  | Histogram of histogram
-  | Source of { read : unit -> (string * int) list; src_reset : (unit -> unit) option }
+  | Histogram of Stats.t
 
-type registry = { mutable entries : (string * entry) list (* reverse registration order *) }
+type registry = { mutable entries : (string * entry) list }
 type snapshot = (string * float) list
+type histogram = Stats.t
 
 let create () = { entries = [] }
+let register r k entry = r.entries <- (k, entry) :: r.entries
 let key ~subsystem name = subsystem ^ "." ^ name
+let group () = { g_counters = [] }
 
-let counter r ~subsystem name =
-  let c = { c_key = key ~subsystem name; c_value = 0 } in
-  r.entries <- (c.c_key, Counter c) :: r.entries;
+let counter g name =
+  let c = { c_name = name; c_value = 0 } in
+  g.g_counters <- c :: g.g_counters;
   c
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
-let counter_value c = c.c_value
-
-let gauge r ~subsystem name read = r.entries <- (key ~subsystem name, Gauge read) :: r.entries
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
+let raise_to c v = if v > c.c_value then c.c_value <- v
+let value c = c.c_value
+let values g = List.rev_map (fun c -> (c.c_name, c.c_value)) g.g_counters
+let attach r ~subsystem g = register r subsystem (Group g)
+let gauge r ~subsystem name read = register r (key ~subsystem name) (Gauge read)
 
 let histogram r ~subsystem name =
-  let h = { h_key = key ~subsystem name; h_samples = Stats.create () } in
-  r.entries <- (h.h_key, Histogram h) :: r.entries;
+  let h = Stats.create () in
+  register r (key ~subsystem name) (Histogram h);
   h
 
-let observe h x = Stats.add h.h_samples x
-let histogram_samples h = h.h_samples
-
-let register_source r ~subsystem ?reset read =
-  r.entries <- (subsystem, Source { read; src_reset = reset }) :: r.entries
-
-let snapshot r =
-  let acc = Hashtbl.create 64 in
-  let put k v =
-    Hashtbl.replace acc k (v +. Option.value (Hashtbl.find_opt acc k) ~default:0.0)
-  in
-  List.iter
-    (fun (k, entry) ->
-      match entry with
-      | Counter c -> put k (float_of_int c.c_value)
-      | Gauge read -> put k (float_of_int (read ()))
-      | Histogram h ->
-        let s = h.h_samples in
-        put (k ^ ".count") (float_of_int (Stats.count s));
-        if Stats.count s > 0 then begin
-          put (k ^ ".mean") (Stats.mean s);
-          put (k ^ ".p50") (Stats.percentile s 50.0);
-          put (k ^ ".p95") (Stats.percentile s 95.0);
-          put (k ^ ".max") (Stats.max s)
-        end
-      | Source { read; _ } ->
-        List.iter (fun (name, v) -> put (key ~subsystem:k name) (float_of_int v)) (read ()))
-    r.entries;
-  Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset r =
-  List.iter
-    (fun (_, entry) ->
-      match entry with
-      | Counter c -> c.c_value <- 0
-      | Histogram h -> h.h_samples <- Stats.create ()
-      | Source { src_reset = Some f; _ } -> f ()
-      | Source { src_reset = None; _ } | Gauge _ -> ())
-    r.entries
-
-let find s k = List.assoc_opt k s
-let get ?(default = 0.0) s k = Option.value (find s k) ~default
-let to_list (s : snapshot) = s
+let observe = Stats.add
+let get ?(default = 0.0) s k = Option.value (List.assoc_opt k s) ~default
 
 let delta ~before ~after =
   List.map (fun (k, v) -> (k, v -. get before k)) after
@@ -102,9 +66,28 @@ let merge snapshots =
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let pairs (k, entry) =
+  match entry with
+  | Group g ->
+    List.map (fun c -> (key ~subsystem:k c.c_name, float_of_int c.c_value)) g.g_counters
+  | Gauge read -> [ (k, float_of_int (read ())) ]
+  | Histogram s ->
+    (k ^ ".count", float_of_int (Stats.count s))
+    ::
+    (if Stats.count s = 0 then []
+     else
+       [
+         (k ^ ".mean", Stats.mean s);
+         (k ^ ".p50", Stats.percentile s 50.0);
+         (k ^ ".p95", Stats.percentile s 95.0);
+         (k ^ ".max", Stats.max s);
+       ])
+
+let snapshot r = merge [ List.concat_map pairs r.entries ]
+
 (* Integers print without a fraction so counter values stay readable;
    everything else keeps three decimals (matching the bench harness's
-   writer, whose gate scripts parse one "key": number pair per line). *)
+   writer, whose gate parses one "key": number pair per line). *)
 let json_number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.3f" v

@@ -1,35 +1,55 @@
 (** Unified metrics registry: every subsystem's counters behind one
-    snapshot/reset/serialize surface.
+    snapshot/serialize surface.
 
-    Hot paths keep their cost profile: a subsystem's existing mutable
-    stats record is itself the set of pre-registered O(1) handles — the
-    registry holds a read closure over it ({!register_source}) and is
-    never on the increment path. Metrics with no record to live in use
-    a direct {!counter} (one mutable int), a sampled {!gauge} (a
-    closure read at snapshot time), or a {!histogram} (a {!Stats.t}
-    reduced to count/mean/p50/p95/max at snapshot time).
+    A subsystem declares each counter once: its stats block is a record
+    of {!counter} handles, each created into the block's {!group} with
+    its key string, and {!attach} registers the whole group, so
+    snapshots are derived from the declarations. The registry is never
+    on the increment path: {!incr}, {!add} and {!raise_to} are one store
+    on the handle and allocate nothing. Metrics with no block to live
+    in use a sampled {!gauge} or a {!histogram}.
 
     Keys are ["subsystem.name"]; a snapshot is flat and sorted, so one
     JSON serializer covers the syscall surface, the bench harness and
-    the CLI. Registering two sources under one subsystem (e.g. several
+    the CLI. Attaching two groups under one subsystem (e.g. several
     pagers named alike) sums their values. *)
 
 type registry
 type snapshot = (string * float) list
 
+type group
+(** The counters of one stats block, in declaration order. A group
+    needs no registry, so a block may exist before the host that
+    reports it. *)
+
 type counter
-(** A pre-registered monotone counter handle: one mutable int. *)
+(** A monotone counter (or high-water mark): one mutable int. *)
 
 type histogram
-(** A pre-registered sample accumulator; snapshots expand it into
-    [.count], [.mean], [.p50], [.p95] and [.max] keys (the latter four
-    only when non-empty). *)
+(** A sample accumulator; snapshots expand it into [.count], [.mean],
+    [.p50], [.p95] and [.max] keys (the latter four only when
+    non-empty). *)
 
 val create : unit -> registry
 
-val counter : registry -> subsystem:string -> string -> counter
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
+val group : unit -> group
+val counter : group -> string -> counter
+(** [counter g name] declares a counter starting at 0 and appends it
+    to [g]. *)
+
+val incr : counter -> unit
+val add : counter -> int -> unit
+
+val raise_to : counter -> int -> unit
+(** High-water mark: [raise_to c v] sets [c] to [max (value c) v]. *)
+
+val value : counter -> int
+
+val values : group -> (string * int) list
+(** The group's counters and their values, in declaration order. *)
+
+val attach : registry -> subsystem:string -> group -> unit
+(** Register a group: its counters snapshot as ["subsystem.name"]. *)
 
 val gauge : registry -> subsystem:string -> string -> (unit -> int) -> unit
 (** A sampled value (queue depth, free frames): the closure runs at
@@ -37,22 +57,9 @@ val gauge : registry -> subsystem:string -> string -> (unit -> int) -> unit
 
 val histogram : registry -> subsystem:string -> string -> histogram
 val observe : histogram -> float -> unit
-val histogram_samples : histogram -> Stats.t
-(** The raw accumulator, for percentile queries beyond the snapshot's
-    fixed set. *)
-
-val register_source :
-  registry -> subsystem:string -> ?reset:(unit -> unit) -> (unit -> (string * int) list) -> unit
-(** Adopt an existing stats block: [read] is typically the block's
-    [stats_to_list]; [reset] (when given) is invoked by {!reset} so
-    every subsystem shares one zeroing idiom. *)
 
 val snapshot : registry -> snapshot
 (** Flat, sorted; duplicate keys summed. *)
-
-val reset : registry -> unit
-(** Zero counters and histograms and run every source's [reset]
-    closure. Gauges are live values and are left alone. *)
 
 val delta : before:snapshot -> after:snapshot -> snapshot
 (** Pointwise [after - before] over [after]'s keys (missing [before]
@@ -63,10 +70,8 @@ val merge : snapshot list -> snapshot
 (** Pointwise sum over the union of keys (e.g. the hosts of a
     cluster). *)
 
-val find : snapshot -> string -> float option
 val get : ?default:float -> snapshot -> string -> float
-val to_list : snapshot -> (string * float) list
 
 val to_json : ?indent:int -> snapshot -> string
 (** One ["key": number] pair per line, flat — the same shape the bench
-    harness's gate scripts line-parse. *)
+    harness's gate line-parses. *)

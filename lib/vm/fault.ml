@@ -51,7 +51,7 @@ let handle kctx map ~addr ~write ?policy () =
     | None -> invalid_arg "Fault.handle: map has no pmap"
     | Some pm -> pm
   in
-  stats.s_faults <- stats.s_faults + 1;
+  Metrics.incr stats.s_faults;
   (* The causal span of this fault: opened before any charge, closed
      with the resolution kind. The id rides in every message this fault
      causes (pager_data_request, the manager's reply), so the whole
@@ -97,7 +97,7 @@ let handle kctx map ~addr ~write ?policy () =
     page.p_error <- false;
     page.cluster_spec <- false;
     page.p_obj.paging_in_progress <- max 0 (page.p_obj.paging_in_progress - 1);
-    stats.s_zero_fill <- stats.s_zero_fill + 1;
+    Metrics.incr stats.s_zero_fill;
     Page_queues.activate kctx.Kctx.queues page;
     Vm_page.set_unbusy page
   in
@@ -105,7 +105,7 @@ let handle kctx map ~addr ~write ?policy () =
     if write then Prot.can_write page.page_lock else Prot.can_read page.page_lock
   in
   let note_depth depth =
-    if depth > stats.s_chain_depth_peak then stats.s_chain_depth_peak <- depth
+    Metrics.raise_to stats.s_chain_depth_peak depth
   in
   (* ---- copy engine predicates ------------------------------------- *)
   (* A COW source page can be STOLEN (renamed up the chain, no copy and
@@ -184,7 +184,7 @@ let handle kctx map ~addr ~write ?policy () =
        with Exit -> ());
       if !n > 0 then begin
         Pmap.enter_batch pm !batch;
-        stats.s_burst_entered <- stats.s_burst_entered + !n;
+        Metrics.add stats.s_burst_entered !n;
         Kctx.charge kctx kctx.Kctx.params.Machine.map_op_us
       end
     end
@@ -217,8 +217,8 @@ let handle kctx map ~addr ~write ?policy () =
   (* FAST PATH terminal: the lookup that got us here is still valid (no
      yields since), so validate directly from it. *)
   let fast_finish lk page ~from_backing =
-    stats.s_fast_faults <- stats.s_fast_faults + 1;
-    stats.s_hits <- stats.s_hits + 1;
+    Metrics.incr stats.s_fast_faults;
+    Metrics.incr stats.s_hits;
     Page_queues.activate kctx.Kctx.queues page;
     let write_ok = lk.Vm_map.lk_writable && not from_backing in
     let prot = hw_prot lk.Vm_map.lk_entry_prot ~write_ok ~page_lock:page.page_lock in
@@ -266,12 +266,12 @@ let handle kctx map ~addr ~write ?policy () =
      page first — the manager may have answered the cluster request
      only partially, so it is asked again for this page alone. *)
   and slow_busy page tries =
-    stats.s_slow_busy <- stats.s_slow_busy + 1;
+    Metrics.incr stats.s_slow_busy;
     via := (if page.q_state = Q_laundry then "clean_hit" else "busy");
     (* Refault on a busy-cleaning page: absorbed by the laundry
        machinery — the old pipeline would have detached the page and
        round-tripped a fresh data_request to the manager. *)
-    if page.q_state = Q_laundry then stats.s_clean_hits <- stats.s_clean_hits + 1;
+    if page.q_state = Q_laundry then Metrics.incr stats.s_clean_hits;
     if page.cluster_spec then begin
       page.cluster_spec <- false;
       Pager_client.rerequest kctx page
@@ -289,7 +289,7 @@ let handle kctx map ~addr ~write ?policy () =
      so a task spinning on a poisoned page shows up in the E10 trace
      reduction instead of vanishing. *)
   and slow_error page tries =
-    stats.s_slow_error <- stats.s_slow_error + 1;
+    Metrics.incr stats.s_slow_error;
     via := "error";
     match policy with
     | Zero_fill_after _ ->
@@ -299,7 +299,7 @@ let handle kctx map ~addr ~write ?policy () =
   (* Manager-imposed lock (§3.4.1): if the lock forbids this access,
      ask for an unlock and wait for pager_data_lock. *)
   and slow_lock page tries =
-    stats.s_slow_lock <- stats.s_slow_lock + 1;
+    Metrics.incr stats.s_slow_lock;
     via := "lock";
     let owner = page.p_obj in
     if dead_pager owner then
@@ -312,7 +312,7 @@ let handle kctx map ~addr ~write ?policy () =
         resolve (tries + 1)
       end
       else begin
-        stats.s_death_errors <- stats.s_death_errors + 1;
+        Metrics.incr stats.s_death_errors;
         Pager_error
       end
     else begin
@@ -349,7 +349,7 @@ let handle kctx map ~addr ~write ?policy () =
       Vm_page.rename ~charge:false kctx src first_obj ~offset:off;
       src.dirty <- true;
       Page_queues.activate kctx.Kctx.queues src;
-      stats.s_cow_steals <- stats.s_cow_steals + 1
+      Metrics.incr stats.s_cow_steals
     in
     (* Copy [src] into [frame] as first_obj@off; drops the source's
        stale translations (sharers must refault through their own
@@ -391,7 +391,7 @@ let handle kctx map ~addr ~write ?policy () =
     match primary with
     | None -> resolve (tries + 1)
     | Some primary ->
-      stats.s_cow_faults <- stats.s_cow_faults + 1;
+      Metrics.incr stats.s_cow_faults;
       (* Clustered copy: sweep forward over adjacent pending-copy pages
          of the same record, stealing or copying each without further
          faults. Non-blocking allocation only — the window shrinks under
@@ -424,7 +424,7 @@ let handle kctx map ~addr ~write ?policy () =
            | Some _ | None -> raise Exit
          done
        with Exit -> ());
-      stats.s_cow_batched <- stats.s_cow_batched + !n_extras;
+      Metrics.add stats.s_cow_batched !n_extras;
       Metrics.observe kctx.Kctx.cow_batch_hist (float_of_int (1 + !n_extras));
       (* The batch's single charge sites. *)
       if !copies > 0 then
@@ -466,7 +466,7 @@ let handle kctx map ~addr ~write ?policy () =
   (* Not resident anywhere in the chain, and a manager owns the data:
      issue a (possibly clustered) pager_data_request and wait. *)
   and slow_pager powner poffset tries =
-    stats.s_slow_pager <- stats.s_slow_pager + 1;
+    Metrics.incr stats.s_slow_pager;
     via := "pager";
     if dead_pager powner then
       (* The manager is gone: resolve locally and deterministically
@@ -479,15 +479,15 @@ let handle kctx map ~addr ~write ?policy () =
           let page =
             Vm_page.insert kctx powner ~offset:poffset ~frame ~busy:false ~absent:false
           in
-          stats.s_zero_fill <- stats.s_zero_fill + 1;
-          stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
+          Metrics.incr stats.s_zero_fill;
+          Metrics.incr stats.s_death_zero_fills;
           Page_queues.activate kctx.Kctx.queues page
         end;
         (* Re-resolve: the page may sit in a backing object (COW due). *)
         resolve (tries + 1)
       end
       else begin
-        stats.s_death_errors <- stats.s_death_errors + 1;
+        Metrics.incr stats.s_death_errors;
         Pager_error
       end
     else begin
@@ -520,7 +520,7 @@ let handle kctx map ~addr ~write ?policy () =
       let page =
         Vm_page.insert kctx first_obj ~offset:first_off ~frame ~busy:false ~absent:false
       in
-      stats.s_zero_fill <- stats.s_zero_fill + 1;
+      Metrics.incr stats.s_zero_fill;
       Page_queues.activate kctx.Kctx.queues page;
       finish page ~from_backing:false
     end
@@ -536,9 +536,7 @@ let handle kctx map ~addr ~write ?policy () =
          deferred half of the transfer: count them separately so the
          copyin-vs-materialization balance shows in the IPC stats. *)
       if lk.Vm_map.lk_from_copy then begin
-        let is = kctx.Kctx.node.Mach_ipc.Transport.node_stats in
-        is.Mach_ipc.Transport.s_lazy_copyout_faults <-
-          is.Mach_ipc.Transport.s_lazy_copyout_faults + 1
+        Metrics.incr kctx.Kctx.node.Mach_ipc.Transport.node_stats.s_lazy_copyout_faults
       end;
       Trace.point tr ~subsystem:"vm" "shadow_walk";
       match Vm_object.lookup_chain lk.Vm_map.lk_obj ~offset:lk.Vm_map.lk_offset with

@@ -123,7 +123,7 @@ let default_terminator t obj =
         Page_queues.remove t.queues p;
         Hashtbl.remove obj.obj_pages p.p_offset;
         free_frame t p.frame;
-        t.stats.s_pages_freed <- t.stats.s_pages_freed + 1
+        Metrics.incr t.stats.s_pages_freed
       end)
     pages
 
@@ -147,32 +147,22 @@ let create engine ctx ~host ~params ~mem ?reserved_frames ?(pager_timeout_us = 2
   Sched.set_trace sched (Some trace);
   Trace.add_cpu_hook trace (fun name ->
       match Sched.running_cpu sched name with Some c -> c | None -> -1);
-  let stats = fresh_stats () in
+  let stats = create_stats () in
   let node =
     {
       Mach_ipc.Transport.node_host = host;
       node_params = params;
       node_page_size = Phys_mem.page_size mem;
-      node_stats = Mach_ipc.Transport.fresh_ipc_stats ();
+      node_stats = Mach_ipc.Transport.create_ipc_stats ();
       node_sched = Some sched;
       node_handoff_enabled = true;
       node_trace = Some trace;
     }
   in
   let queues = Page_queues.create () in
-  (* The existing mutable stats blocks are the registry's O(1) handles:
-     register each as a source so snapshot/reset cover every subsystem
-     without touching any increment site. *)
-  Metrics.register_source metrics ~subsystem:"vm"
-    ~reset:(fun () -> reset_stats stats)
-    (fun () -> stats_to_list stats);
-  Metrics.register_source metrics ~subsystem:"ipc"
-    ~reset:(fun () -> Mach_ipc.Transport.reset_ipc_stats node.Mach_ipc.Transport.node_stats)
-    (fun () ->
-      Mach_ipc.Transport.ipc_stats_to_list node.Mach_ipc.Transport.node_stats);
-  Metrics.register_source metrics ~subsystem:"sched"
-    ~reset:(fun () -> Sched.reset_stats (Sched.stats sched))
-    (fun () -> Sched.stats_to_list (Sched.stats sched));
+  Metrics.attach metrics ~subsystem:"vm" stats.s_group;
+  Metrics.attach metrics ~subsystem:"ipc" node.Mach_ipc.Transport.node_stats.s_group;
+  Metrics.attach metrics ~subsystem:"sched" (Sched.stats sched).Sched.s_group;
   Metrics.gauge metrics ~subsystem:"vm" "free_frames" (fun () -> Phys_mem.free_frames mem);
   Metrics.gauge metrics ~subsystem:"vm" "active_pages" (fun () ->
       Page_queues.active_count queues);

@@ -23,9 +23,9 @@ type t = {
   queues : Page_queues.t;
   stats : stats;
   metrics : Mach_util.Metrics.registry;
-      (** the host's unified registry: the vm/ipc/sched stats blocks are
-          registered as sources at creation, pagers add theirs as they
-          start; snapshot it for a vm_statistics-style full report *)
+      (** the host's unified registry: the vm/ipc/sched counter groups
+          are attached at creation, pagers attach theirs as they start;
+          snapshot it for a vm_statistics-style full report *)
   trace : Mach_sim.Trace.t;
       (** the causal trace spine (shared across hosts in a cluster);
           disabled by default *)

@@ -59,8 +59,7 @@ let rescue kctx (h : holding) =
     Hashtbl.remove kctx.Kctx.holdings h.h_write_id;
     let pages = List.filter (still_held h) h.h_pages in
     let rescued = List.length pages + List.length h.h_frames in
-    kctx.Kctx.stats.s_pageout_to_default <-
-      kctx.Kctx.stats.s_pageout_to_default + rescued;
+    Metrics.add kctx.Kctx.stats.s_pageout_to_default rescued;
     (match kctx.Kctx.rescue_writer with Some w -> w h.h_data | None -> ());
     List.iter (Kctx.free_frame kctx) h.h_frames;
     h.h_frames <- [];
@@ -111,7 +110,7 @@ let pager_died kctx obj =
   | Pager p ->
     p.pager_dead <- true;
     let stats = kctx.Kctx.stats in
-    stats.s_pager_deaths <- stats.s_pager_deaths + 1;
+    Metrics.incr stats.s_pager_deaths;
     Log.warn (fun m -> m "pager died for object %d" obj.obj_id);
     let anonymous = p.is_default || obj.temporary in
     let pages = Hashtbl.fold (fun _ pg acc -> pg :: acc) obj.obj_pages [] in
@@ -127,8 +126,8 @@ let pager_died kctx obj =
             page.absent <- false;
             page.p_error <- false;
             obj.paging_in_progress <- max 0 (obj.paging_in_progress - 1);
-            stats.s_zero_fill <- stats.s_zero_fill + 1;
-            stats.s_death_zero_fills <- stats.s_death_zero_fills + 1;
+            Metrics.incr stats.s_zero_fill;
+            Metrics.incr stats.s_death_zero_fills;
             Page_queues.activate kctx.Kctx.queues page;
             Vm_page.set_unbusy page
           end
@@ -136,7 +135,7 @@ let pager_died kctx obj =
             (* Mirror the slow-path timeout: error the placeholder so
                waiters fail the fault. *)
             page.p_error <- true;
-            stats.s_death_errors <- stats.s_death_errors + 1;
+            Metrics.incr stats.s_death_errors;
             Vm_page.set_unbusy page
           end
         end
@@ -186,7 +185,7 @@ let send_data_request kctx p ~offset ~length ~desired_access =
   let request =
     match p.request_port with Some r -> r | None -> invalid_arg "data_request: not initialized"
   in
-  kctx.Kctx.stats.s_data_requests <- kctx.Kctx.stats.s_data_requests + 1;
+  Metrics.incr kctx.Kctx.stats.s_data_requests;
   Mach_sim.Trace.point kctx.Kctx.trace ~subsystem:"vm" "data_request";
   kernel_send kctx
     (Pager_iface.encode_k2m ~reply:None
@@ -248,7 +247,7 @@ let request_cluster kctx obj ~offset ~desired_access ~window =
        done
      with Exit -> ());
     let extra = List.length !spec in
-    kctx.Kctx.stats.s_cluster_pages <- kctx.Kctx.stats.s_cluster_pages + extra;
+    Metrics.add kctx.Kctx.stats.s_cluster_pages extra;
     if extra > 0 then begin
       (* Reclaim unfilled placeholders after the pager timeout so a
          manager that answers partially (or not at all) cannot pin
@@ -323,7 +322,7 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
     }
   in
   Hashtbl.replace kctx.Kctx.holdings write_id h;
-  kctx.Kctx.stats.s_data_writes <- kctx.Kctx.stats.s_data_writes + 1;
+  Metrics.incr kctx.Kctx.stats.s_data_writes;
   Engine.schedule kctx.Kctx.engine
     ~at:(Engine.now kctx.Kctx.engine +. kctx.Kctx.data_write_release_timeout_us)
     (fun () -> rescue kctx h);
@@ -340,8 +339,8 @@ let write_run kctx pages ~dispose =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
   let n = List.length pages in
-  stats.s_pageouts <- stats.s_pageouts + n;
-  stats.s_laundered <- stats.s_laundered + n;
+  Metrics.add stats.s_pageouts n;
+  Metrics.add stats.s_laundered n;
   (* Mark the whole run busy-cleaning before anything can block, so a
      concurrent faulter waits on the busy machinery instead of racing. *)
   List.iter
@@ -359,7 +358,7 @@ let write_run kctx pages ~dispose =
   ship_run kctx obj ~offset:(List.hd pages).p_offset ~data ~dispose ~pages ~frames:[]
 
 let page_out kctx page ~flush =
-  if flush then kctx.Kctx.stats.s_flushes <- kctx.Kctx.stats.s_flushes + 1;
+  if flush then Metrics.incr kctx.Kctx.stats.s_flushes;
   write_run kctx [ page ] ~dispose:(if flush then Dispose_free else Dispose_keep)
 
 (* Object teardown cannot wait for an untrusted manager's release:
@@ -370,7 +369,7 @@ let write_run_detached kctx pages =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
   let n = List.length pages in
-  stats.s_pageouts <- stats.s_pageouts + n;
+  Metrics.add stats.s_pageouts n;
   let offset = (List.hd pages).p_offset in
   (* Detach the structures before anything can block, so no other path
      finds the pages mid-teardown. *)
@@ -412,7 +411,7 @@ let send_unlock kctx obj ~offset ~length ~desired_access =
   let request =
     match p.request_port with Some r -> r | None -> invalid_arg "send_unlock: not initialized"
   in
-  kctx.Kctx.stats.s_unlock_requests <- kctx.Kctx.stats.s_unlock_requests + 1;
+  Metrics.incr kctx.Kctx.stats.s_unlock_requests;
   kernel_send kctx
     (Pager_iface.encode_k2m ~reply:None
        (Pager_iface.Data_unlock
@@ -441,7 +440,7 @@ let apply_lock kctx page lock =
 let fill_provided kctx obj ~offset ~data ~lock_value =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
-  stats.s_data_provided <- stats.s_data_provided + 1;
+  Metrics.incr stats.s_data_provided;
   (* Partial trailing pages are discarded (§3.4.1). *)
   let whole_pages = Bytes.length data / ps in
   for i = 0 to whole_pages - 1 do
@@ -455,7 +454,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
       page.cluster_spec <- false;
       page.page_lock <- lock_value;
       obj.paging_in_progress <- max 0 (obj.paging_in_progress - 1);
-      stats.s_pageins <- stats.s_pageins + 1;
+      Metrics.incr stats.s_pageins;
       Page_queues.activate kctx.Kctx.queues page;
       Vm_page.set_unbusy page
     | Some page ->
@@ -473,7 +472,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
         let page = Vm_page.insert kctx obj ~offset:off ~frame ~busy:false ~absent:false in
         Phys_mem.write kctx.Kctx.mem frame ~off:0 chunk;
         page.page_lock <- lock_value;
-        stats.s_pageins <- stats.s_pageins + 1;
+        Metrics.incr stats.s_pageins;
         Page_queues.activate kctx.Kctx.queues page
       | None -> ())
   done
@@ -481,7 +480,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
 let data_unavailable kctx obj ~offset ~size =
   let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
-  stats.s_data_unavailable <- stats.s_data_unavailable + 1;
+  Metrics.incr stats.s_data_unavailable;
   let pages = (size + ps - 1) / ps in
   for i = 0 to pages - 1 do
     let off = offset + (i * ps) in
@@ -492,7 +491,7 @@ let data_unavailable kctx obj ~offset ~size =
       page.p_error <- false;
       page.cluster_spec <- false;
       obj.paging_in_progress <- max 0 (obj.paging_in_progress - 1);
-      stats.s_zero_fill <- stats.s_zero_fill + 1;
+      Metrics.incr stats.s_zero_fill;
       Page_queues.activate kctx.Kctx.queues page;
       Vm_page.set_unbusy page
     | Some _ | None -> ()
@@ -543,13 +542,13 @@ let flush_range kctx obj ~offset ~length ~keep =
         in
         let run, rest = collect [ page ] page rest in
         if not keep then
-          kctx.Kctx.stats.s_flushes <- kctx.Kctx.stats.s_flushes + List.length run;
+          Metrics.add kctx.Kctx.stats.s_flushes (List.length run);
         write_run kctx run ~dispose;
         walk rest
       end
       else begin
         if not keep then begin
-          kctx.Kctx.stats.s_flushes <- kctx.Kctx.stats.s_flushes + 1;
+          Metrics.incr kctx.Kctx.stats.s_flushes;
           Vm_page.free kctx page
         end;
         walk rest

@@ -19,54 +19,37 @@ module Message = Mach_ipc.Message
 module Port = Mach_ipc.Port
 module Prot = Mach_hw.Prot
 
+module Metrics = Mach_util.Metrics
+
 module Stats = struct
   (** Uniform per-pager counters, surfaced through E9/E10 and the
-      conformance suite. *)
+      conformance suite (keys ["pager.<name>.*"]). *)
   type t = {
-    mutable s_requests : int;  (** pager_data_request messages *)
-    mutable s_pages_served : int;  (** pages sent in data_provided replies *)
-    mutable s_unavailable : int;  (** pages declared data_unavailable *)
-    mutable s_writes : int;  (** pager_data_write messages (one per run) *)
-    mutable s_pages_written : int;  (** pages stored from data_writes *)
-    mutable s_unlocks : int;  (** pager_data_unlock messages *)
-    mutable s_dropped_replies : int;
+    s_group : Metrics.group;
+    s_requests : Metrics.counter;  (** pager_data_request messages *)
+    s_pages_served : Metrics.counter;  (** pages sent in data_provided replies *)
+    s_unavailable : Metrics.counter;  (** pages declared data_unavailable *)
+    s_writes : Metrics.counter;  (** pager_data_write messages (one per run) *)
+    s_pages_written : Metrics.counter;  (** pages stored from data_writes *)
+    s_unlocks : Metrics.counter;  (** pager_data_unlock messages *)
+    s_dropped_replies : Metrics.counter;
         (** manager→kernel sends that failed (dead request port) *)
-    mutable s_port_deaths : int;  (** kernel port deaths observed *)
+    s_port_deaths : Metrics.counter;  (** kernel port deaths observed *)
   }
 
   let create () =
-    {
-      s_requests = 0;
-      s_pages_served = 0;
-      s_unavailable = 0;
-      s_writes = 0;
-      s_pages_written = 0;
-      s_unlocks = 0;
-      s_dropped_replies = 0;
-      s_port_deaths = 0;
-    }
-
-  let reset s =
-    s.s_requests <- 0;
-    s.s_pages_served <- 0;
-    s.s_unavailable <- 0;
-    s.s_writes <- 0;
-    s.s_pages_written <- 0;
-    s.s_unlocks <- 0;
-    s.s_dropped_replies <- 0;
-    s.s_port_deaths <- 0
-
-  let to_list s =
-    [
-      ("requests", s.s_requests);
-      ("pages_served", s.s_pages_served);
-      ("unavailable", s.s_unavailable);
-      ("writes", s.s_writes);
-      ("pages_written", s.s_pages_written);
-      ("unlocks", s.s_unlocks);
-      ("dropped_replies", s.s_dropped_replies);
-      ("port_deaths", s.s_port_deaths);
-    ]
+    let s_group = Metrics.group () in
+    let c = Metrics.counter s_group in
+    let s_requests = c "requests" in
+    let s_pages_served = c "pages_served" in
+    let s_unavailable = c "unavailable" in
+    let s_writes = c "writes" in
+    let s_pages_written = c "pages_written" in
+    let s_unlocks = c "unlocks" in
+    let s_dropped_replies = c "dropped_replies" in
+    let s_port_deaths = c "port_deaths" in
+    { s_group; s_requests; s_pages_served; s_unavailable; s_writes; s_pages_written; s_unlocks;
+      s_dropped_replies; s_port_deaths }
 end
 
 (** One managed memory object: the registry entry plus per-object
@@ -175,7 +158,7 @@ let add_request o request =
     o.o_requests <- request :: o.o_requests
 
 let note_dropped_reply t =
-  t.rt_stats.Stats.s_dropped_replies <- t.rt_stats.Stats.s_dropped_replies + 1
+  Metrics.incr t.rt_stats.Stats.s_dropped_replies
 
 (* --- manager→kernel calls (Table 3-6), with drop accounting ------------- *)
 
@@ -187,12 +170,11 @@ let send_m2k t call ~request =
 let pages_in t len = (len + t.rt_page_size - 1) / t.rt_page_size
 
 let data_provided t ~request ~offset ~data ~lock_value =
-  t.rt_stats.Stats.s_pages_served <-
-    t.rt_stats.Stats.s_pages_served + pages_in t (Bytes.length data);
+  Metrics.add t.rt_stats.Stats.s_pages_served (pages_in t (Bytes.length data));
   send_m2k t (Pager_iface.Data_provided { offset; data; lock_value }) ~request
 
 let data_unavailable t ~request ~offset ~size =
-  t.rt_stats.Stats.s_unavailable <- t.rt_stats.Stats.s_unavailable + pages_in t size;
+  Metrics.add t.rt_stats.Stats.s_unavailable (pages_in t size);
   send_m2k t (Pager_iface.Data_unavailable { offset; size }) ~request
 
 let data_lock t ~request ~offset ~length ~lock_value =
@@ -230,7 +212,7 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
   match find t memory_object with
   | None -> ()
   | Some o ->
-    t.rt_stats.Stats.s_requests <- t.rt_stats.Stats.s_requests + 1;
+    Metrics.incr t.rt_stats.Stats.s_requests;
     o.o_in_flight <- o.o_in_flight + 1;
     let ps = t.rt_page_size in
     let first, npages =
@@ -281,7 +263,7 @@ let handle_data_write t ~memory_object ~offset ~data ~release =
   (match find t memory_object with
   | None -> ()
   | Some o ->
-    t.rt_stats.Stats.s_writes <- t.rt_stats.Stats.s_writes + 1;
+    Metrics.incr t.rt_stats.Stats.s_writes;
     o.o_in_flight <- o.o_in_flight + 1;
     t.rt_policy.p_prepare_write t o ~offset ~data;
     let ps = t.rt_page_size in
@@ -291,7 +273,7 @@ let handle_data_write t ~memory_object ~offset ~data ~release =
       let chunk = if len <= 0 then Bytes.empty else Bytes.sub data (i * ps) len in
       t.rt_policy.p_write t o ~page:((offset / ps) + i) ~data:chunk
     done;
-    t.rt_stats.Stats.s_pages_written <- t.rt_stats.Stats.s_pages_written + npages;
+    Metrics.add t.rt_stats.Stats.s_pages_written npages;
     o.o_in_flight <- max 0 (o.o_in_flight - 1));
   release ()
 
@@ -301,7 +283,7 @@ let handle_data_unlock t ~memory_object ~request ~offset ~length ~desired_access
   match find t memory_object with
   | None -> ()
   | Some o ->
-    t.rt_stats.Stats.s_unlocks <- t.rt_stats.Stats.s_unlocks + 1;
+    Metrics.incr t.rt_stats.Stats.s_unlocks;
     o.o_in_flight <- o.o_in_flight + 1;
     let ps = t.rt_page_size in
     let first = offset / ps in
@@ -348,7 +330,7 @@ let handle_port_death t port =
       t.rt_objects []
   in
   if victims <> [] then
-    t.rt_stats.Stats.s_port_deaths <- t.rt_stats.Stats.s_port_deaths + 1;
+    Metrics.incr t.rt_stats.Stats.s_port_deaths;
   List.iter
     (fun o ->
       o.o_requests <- List.filter (fun r -> Port.id r <> pid) o.o_requests;

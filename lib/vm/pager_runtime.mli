@@ -15,21 +15,16 @@ module Prot = Mach_hw.Prot
 
 module Stats : sig
   type t = {
-    mutable s_requests : int;
-    mutable s_pages_served : int;
-    mutable s_unavailable : int;
-    mutable s_writes : int;
-    mutable s_pages_written : int;
-    mutable s_unlocks : int;
-    mutable s_dropped_replies : int;
-    mutable s_port_deaths : int;
+    s_group : Mach_util.Metrics.group;
+    s_requests : Mach_util.Metrics.counter;
+    s_pages_served : Mach_util.Metrics.counter;
+    s_unavailable : Mach_util.Metrics.counter;
+    s_writes : Mach_util.Metrics.counter;
+    s_pages_written : Mach_util.Metrics.counter;
+    s_unlocks : Mach_util.Metrics.counter;
+    s_dropped_replies : Mach_util.Metrics.counter;
+    s_port_deaths : Mach_util.Metrics.counter;
   }
-
-  val create : unit -> t
-  val to_list : t -> (string * int) list
-
-  val reset : t -> unit
-  (** Zero every counter (the registry's shared reset idiom). *)
 end
 
 type 'o obj = {

@@ -138,10 +138,10 @@ let find_entry ?(count = false) t va =
   let stats = t.kctx.Kctx.stats in
   match t.map_hint with
   | Some h when covers h va ->
-    if count then stats.s_hint_hits <- stats.s_hint_hits + 1;
+    if count then Metrics.incr stats.s_hint_hits;
     Some h
   | _ ->
-    if count then stats.s_hint_misses <- stats.s_hint_misses + 1;
+    if count then Metrics.incr stats.s_hint_misses;
     let i = find_slot t va in
     if i < 0 then None
     else
@@ -639,7 +639,7 @@ let copyin t ~addr ~size =
             :: !pieces))
     es;
   let stats = kctx.Kctx.node.Transport.node_stats in
-  stats.Transport.s_copyins <- stats.Transport.s_copyins + 1;
+  Metrics.incr stats.Transport.s_copyins;
   (* Write-protecting the source is one map op per page: O(pages) map
      work instead of O(bytes) copying. *)
   Kctx.charge kctx (float_of_int ((hi - lo) / ps) *. kctx.Kctx.params.Machine.map_op_us);

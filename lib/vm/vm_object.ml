@@ -2,7 +2,7 @@ open Vm_types
 module Port = Mach_ipc.Port
 
 let make kctx ~size ~pager ~temporary =
-  kctx.Kctx.stats.s_objects_created <- kctx.Kctx.stats.s_objects_created + 1;
+  Metrics.incr kctx.Kctx.stats.s_objects_created;
   {
     obj_id = Kctx.fresh_obj_id kctx;
     obj_size = size;
@@ -158,7 +158,7 @@ let collapse_once kctx obj =
       b.shadowers <- [];
       b.obj_alive <- false;
       b.ref_count <- 0;
-      kctx.Kctx.stats.s_collapses <- kctx.Kctx.stats.s_collapses + 1;
+      Metrics.incr kctx.Kctx.stats.s_collapses;
       true
     end
     else false (* busy pages remain; try again another time *)
@@ -188,8 +188,7 @@ let rec deallocate kctx obj =
         | Some node ->
           let victim = Dlist.value node in
           Hashtbl.remove kctx.Kctx.cached_index victim.obj_id;
-          kctx.Kctx.stats.s_object_cache_evictions <-
-            kctx.Kctx.stats.s_object_cache_evictions + 1;
+          Metrics.incr kctx.Kctx.stats.s_object_cache_evictions;
           terminate kctx victim
       done
     end

@@ -84,7 +84,7 @@ let free kctx page =
   harvest_bits kctx page;
   List.iter (fun (pmap, vpn) -> Pmap.remove pmap ~vpn) mappings;
   Kctx.free_frame kctx page.frame;
-  kctx.Kctx.stats.s_pages_freed <- kctx.Kctx.stats.s_pages_freed + 1;
+  Metrics.incr kctx.Kctx.stats.s_pages_freed;
   let n = List.length mappings in
   if n > 0 then Kctx.charge kctx (float_of_int n *. kctx.Kctx.params.Machine.map_op_us)
 

@@ -12,6 +12,7 @@
 
 module Waitq = Mach_sim.Waitq
 module Ivar = Mach_sim.Ivar
+module Metrics = Mach_util.Metrics
 
 type port = Mach_ipc.Message.port
 
@@ -126,162 +127,94 @@ type holding = {
   mutable h_released : bool;
 }
 
-(** Kernel VM statistics, in the spirit of [vm_statistics] (Table 3-3). *)
+(** Kernel VM statistics, in the spirit of [vm_statistics] (Table 3-3); keys ["vm.*"]. *)
 type stats = {
-  mutable s_faults : int;
-  mutable s_zero_fill : int;
-  mutable s_cow_faults : int;
-  mutable s_pageins : int;
-  mutable s_pageouts : int;
-  mutable s_hits : int;  (** faults satisfied by a resident page *)
-  mutable s_reactivations : int;
-  mutable s_unlock_requests : int;
-  mutable s_flushes : int;
-  mutable s_objects_created : int;
-  mutable s_pages_freed : int;
-  mutable s_data_requests : int;
-  mutable s_data_provided : int;
-  mutable s_data_unavailable : int;
-  mutable s_pageout_to_default : int;  (** §6.2.2 double-paging rescues *)
-  mutable s_collapses : int;  (** shadow chains merged away *)
-  mutable s_fast_faults : int;  (** resolved entirely on the fault fast path *)
-  mutable s_hint_hits : int;  (** map lookups answered by the per-map hint *)
-  mutable s_hint_misses : int;  (** map lookups that fell back to binary search *)
-  mutable s_burst_entered : int;  (** neighbor translations pre-entered after a fault *)
-  mutable s_cluster_pages : int;  (** extra pages asked for by clustered data requests *)
-  mutable s_slow_busy : int;  (** slow-path entries: waited on a busy page *)
-  mutable s_slow_lock : int;  (** slow-path entries: waited on a manager unlock *)
-  mutable s_slow_pager : int;  (** slow-path entries: issued a pager request *)
-  mutable s_data_writes : int;  (** pager_data_write messages (one per run) *)
-  mutable s_laundered : int;  (** pages written back while kept resident *)
-  mutable s_clean_hits : int;  (** refaults absorbed by a cleaning/clean-resident page *)
-  mutable s_pager_deaths : int;  (** manager object ports that died *)
-  mutable s_death_zero_fills : int;
+  s_group : Metrics.group;
+  s_faults : Metrics.counter;
+  s_zero_fill : Metrics.counter;
+  s_cow_faults : Metrics.counter;
+  s_pageins : Metrics.counter;
+  s_pageouts : Metrics.counter;
+  s_hits : Metrics.counter;  (** faults satisfied by a resident page *)
+  s_reactivations : Metrics.counter;
+  s_unlock_requests : Metrics.counter;
+  s_flushes : Metrics.counter;
+  s_objects_created : Metrics.counter;
+  s_pages_freed : Metrics.counter;
+  s_data_requests : Metrics.counter;
+  s_data_provided : Metrics.counter;
+  s_data_unavailable : Metrics.counter;
+  s_pageout_to_default : Metrics.counter;  (** §6.2.2 double-paging rescues *)
+  s_collapses : Metrics.counter;  (** shadow chains merged away *)
+  s_fast_faults : Metrics.counter;  (** resolved entirely on the fault fast path *)
+  s_hint_hits : Metrics.counter;  (** map lookups answered by the per-map hint *)
+  s_hint_misses : Metrics.counter;  (** map lookups that fell back to binary search *)
+  s_burst_entered : Metrics.counter;  (** neighbor translations pre-entered after a fault *)
+  s_cluster_pages : Metrics.counter;  (** extra pages asked for by clustered data requests *)
+  s_slow_busy : Metrics.counter;  (** slow-path entries: waited on a busy page *)
+  s_slow_lock : Metrics.counter;  (** slow-path entries: waited on a manager unlock *)
+  s_slow_pager : Metrics.counter;  (** slow-path entries: issued a pager request *)
+  s_data_writes : Metrics.counter;  (** pager_data_write messages (one per run) *)
+  s_laundered : Metrics.counter;  (** pages written back while kept resident *)
+  s_clean_hits : Metrics.counter;  (** refaults absorbed by a cleaning/clean-resident page *)
+  s_pager_deaths : Metrics.counter;  (** manager object ports that died *)
+  s_death_zero_fills : Metrics.counter;
       (** placeholder pages zero-filled when their pager died *)
-  mutable s_death_errors : int;
+  s_death_errors : Metrics.counter;
       (** placeholder pages failed with an error when their pager died *)
-  mutable s_cow_steals : int;
+  s_cow_steals : Metrics.counter;
       (** COW resolutions that renamed the page up the chain instead of
           copying it (sole user: no copy, no 400 µs charge) *)
-  mutable s_cow_batched : int;
+  s_cow_batched : Metrics.counter;
       (** extra pending-copy pages resolved by a neighbor's COW fault *)
-  mutable s_slow_error : int;  (** slow-path entries: fault on an error page *)
-  mutable s_chain_depth_peak : int;  (** deepest shadow chain walked by a fault *)
-  mutable s_object_cache_evictions : int;
+  s_slow_error : Metrics.counter;  (** slow-path entries: fault on an error page *)
+  s_chain_depth_peak : Metrics.counter;  (** deepest shadow chain walked by a fault *)
+  s_object_cache_evictions : Metrics.counter;
       (** cached persistent objects terminated by LRU pressure *)
 }
 
-let fresh_stats () =
-  {
-    s_faults = 0;
-    s_zero_fill = 0;
-    s_cow_faults = 0;
-    s_pageins = 0;
-    s_pageouts = 0;
-    s_hits = 0;
-    s_reactivations = 0;
-    s_unlock_requests = 0;
-    s_flushes = 0;
-    s_objects_created = 0;
-    s_pages_freed = 0;
-    s_data_requests = 0;
-    s_data_provided = 0;
-    s_data_unavailable = 0;
-    s_pageout_to_default = 0;
-    s_collapses = 0;
-    s_fast_faults = 0;
-    s_hint_hits = 0;
-    s_hint_misses = 0;
-    s_burst_entered = 0;
-    s_cluster_pages = 0;
-    s_slow_busy = 0;
-    s_slow_lock = 0;
-    s_slow_pager = 0;
-    s_data_writes = 0;
-    s_laundered = 0;
-    s_clean_hits = 0;
-    s_pager_deaths = 0;
-    s_death_zero_fills = 0;
-    s_death_errors = 0;
-    s_cow_steals = 0;
-    s_cow_batched = 0;
-    s_slow_error = 0;
-    s_chain_depth_peak = 0;
-    s_object_cache_evictions = 0;
-  }
-
-let reset_stats s =
-  s.s_faults <- 0;
-  s.s_zero_fill <- 0;
-  s.s_cow_faults <- 0;
-  s.s_pageins <- 0;
-  s.s_pageouts <- 0;
-  s.s_hits <- 0;
-  s.s_reactivations <- 0;
-  s.s_unlock_requests <- 0;
-  s.s_flushes <- 0;
-  s.s_objects_created <- 0;
-  s.s_pages_freed <- 0;
-  s.s_data_requests <- 0;
-  s.s_data_provided <- 0;
-  s.s_data_unavailable <- 0;
-  s.s_pageout_to_default <- 0;
-  s.s_collapses <- 0;
-  s.s_fast_faults <- 0;
-  s.s_hint_hits <- 0;
-  s.s_hint_misses <- 0;
-  s.s_burst_entered <- 0;
-  s.s_cluster_pages <- 0;
-  s.s_slow_busy <- 0;
-  s.s_slow_lock <- 0;
-  s.s_slow_pager <- 0;
-  s.s_data_writes <- 0;
-  s.s_laundered <- 0;
-  s.s_clean_hits <- 0;
-  s.s_pager_deaths <- 0;
-  s.s_death_zero_fills <- 0;
-  s.s_death_errors <- 0;
-  s.s_cow_steals <- 0;
-  s.s_cow_batched <- 0;
-  s.s_slow_error <- 0;
-  s.s_chain_depth_peak <- 0;
-  s.s_object_cache_evictions <- 0
-
-let stats_to_list s =
-  [
-    ("faults", s.s_faults);
-    ("zero_fill", s.s_zero_fill);
-    ("cow_faults", s.s_cow_faults);
-    ("pageins", s.s_pageins);
-    ("pageouts", s.s_pageouts);
-    ("hits", s.s_hits);
-    ("reactivations", s.s_reactivations);
-    ("unlock_requests", s.s_unlock_requests);
-    ("flushes", s.s_flushes);
-    ("objects_created", s.s_objects_created);
-    ("pages_freed", s.s_pages_freed);
-    ("data_requests", s.s_data_requests);
-    ("data_provided", s.s_data_provided);
-    ("data_unavailable", s.s_data_unavailable);
-    ("pageout_to_default", s.s_pageout_to_default);
-    ("collapses", s.s_collapses);
-    ("fast_faults", s.s_fast_faults);
-    ("hint_hits", s.s_hint_hits);
-    ("hint_misses", s.s_hint_misses);
-    ("burst_entered", s.s_burst_entered);
-    ("cluster_pages", s.s_cluster_pages);
-    ("slow_busy", s.s_slow_busy);
-    ("slow_lock", s.s_slow_lock);
-    ("slow_pager", s.s_slow_pager);
-    ("data_writes", s.s_data_writes);
-    ("laundered", s.s_laundered);
-    ("clean_hits", s.s_clean_hits);
-    ("pager_deaths", s.s_pager_deaths);
-    ("death_zero_fills", s.s_death_zero_fills);
-    ("death_errors", s.s_death_errors);
-    ("cow_steals", s.s_cow_steals);
-    ("cow_batched", s.s_cow_batched);
-    ("slow_error", s.s_slow_error);
-    ("chain_depth_peak", s.s_chain_depth_peak);
-    ("object_cache_evictions", s.s_object_cache_evictions);
-  ]
+let create_stats () =
+  let s_group = Metrics.group () in
+  let c = Metrics.counter s_group in
+  let s_faults = c "faults" in
+  let s_zero_fill = c "zero_fill" in
+  let s_cow_faults = c "cow_faults" in
+  let s_pageins = c "pageins" in
+  let s_pageouts = c "pageouts" in
+  let s_hits = c "hits" in
+  let s_reactivations = c "reactivations" in
+  let s_unlock_requests = c "unlock_requests" in
+  let s_flushes = c "flushes" in
+  let s_objects_created = c "objects_created" in
+  let s_pages_freed = c "pages_freed" in
+  let s_data_requests = c "data_requests" in
+  let s_data_provided = c "data_provided" in
+  let s_data_unavailable = c "data_unavailable" in
+  let s_pageout_to_default = c "pageout_to_default" in
+  let s_collapses = c "collapses" in
+  let s_fast_faults = c "fast_faults" in
+  let s_hint_hits = c "hint_hits" in
+  let s_hint_misses = c "hint_misses" in
+  let s_burst_entered = c "burst_entered" in
+  let s_cluster_pages = c "cluster_pages" in
+  let s_slow_busy = c "slow_busy" in
+  let s_slow_lock = c "slow_lock" in
+  let s_slow_pager = c "slow_pager" in
+  let s_data_writes = c "data_writes" in
+  let s_laundered = c "laundered" in
+  let s_clean_hits = c "clean_hits" in
+  let s_pager_deaths = c "pager_deaths" in
+  let s_death_zero_fills = c "death_zero_fills" in
+  let s_death_errors = c "death_errors" in
+  let s_cow_steals = c "cow_steals" in
+  let s_cow_batched = c "cow_batched" in
+  let s_slow_error = c "slow_error" in
+  let s_chain_depth_peak = c "chain_depth_peak" in
+  let s_object_cache_evictions = c "object_cache_evictions" in
+  { s_group; s_faults; s_zero_fill; s_cow_faults; s_pageins; s_pageouts; s_hits; s_reactivations;
+    s_unlock_requests; s_flushes; s_objects_created; s_pages_freed; s_data_requests;
+    s_data_provided; s_data_unavailable; s_pageout_to_default; s_collapses; s_fast_faults;
+    s_hint_hits; s_hint_misses; s_burst_entered; s_cluster_pages; s_slow_busy; s_slow_lock;
+    s_slow_pager; s_data_writes; s_laundered; s_clean_hits; s_pager_deaths; s_death_zero_fills;
+    s_death_errors; s_cow_steals; s_cow_batched; s_slow_error; s_chain_depth_peak;
+    s_object_cache_evictions }

@@ -12,6 +12,7 @@ module Port = Mach_ipc.Port
 module Message = Mach_ipc.Message
 module Port_space = Mach_ipc.Port_space
 module Transport = Mach_ipc.Transport
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 
@@ -40,7 +41,7 @@ let node ?(host = 0) () =
     Transport.node_host = host;
     node_params = Machine.uniprocessor;
     node_page_size = 4096;
-    node_stats = Transport.fresh_ipc_stats ();
+    node_stats = Transport.create_ipc_stats ();
     node_sched = None;
     node_handoff_enabled = true;
     node_trace = None;
@@ -125,11 +126,12 @@ let test_loss_recovered_by_retransmission () =
   let got, errors = run_numbered_sends eng ctx () in
   check Alcotest.(list string) "all delivered in order" (expected_payloads 24) got;
   check Alcotest.int "no send errors" 0 errors;
-  Alcotest.(check bool) "faults actually injected" true ((Chaos.stats chaos).Chaos.s_dropped > 0);
+  Alcotest.(check bool) "faults actually injected" true
+    (Metrics.value (Chaos.stats chaos).Chaos.s_dropped > 0);
   Alcotest.(check bool) "retransmits happened" true (Net.retransmits net > 0);
   check Alcotest.int "net counted every chaos drop"
-    (Chaos.faults_injected chaos - (Chaos.stats chaos).Chaos.s_reordered
-    - (Chaos.stats chaos).Chaos.s_duplicated)
+    (Chaos.faults_injected chaos - Metrics.value (Chaos.stats chaos).Chaos.s_reordered
+    - Metrics.value (Chaos.stats chaos).Chaos.s_duplicated)
     (Net.dropped net)
 
 let test_duplicate_storm_is_deduped () =
@@ -140,8 +142,8 @@ let test_duplicate_storm_is_deduped () =
   check Alcotest.(list string) "exactly once, in order" (expected_payloads 24) got;
   check Alcotest.int "no send errors" 0 errors;
   Alcotest.(check bool) "duplicates injected" true
-    ((Chaos.stats chaos).Chaos.s_duplicated > 0);
-  let dup_dropped = List.assoc "dup_dropped" (Context.chan_stats_to_list ctx) in
+    (Metrics.value (Chaos.stats chaos).Chaos.s_duplicated > 0);
+  let dup_dropped = List.assoc "dup_dropped" (Metrics.values (Context.chan_stats ctx)) in
   Alcotest.(check bool) "receiver shed duplicates" true (dup_dropped > 0)
 
 let test_reorder_resequenced_fifo () =
@@ -151,8 +153,9 @@ let test_reorder_resequenced_fifo () =
   let got, errors = run_numbered_sends eng ctx () in
   check Alcotest.(list string) "FIFO preserved" (expected_payloads 24) got;
   check Alcotest.int "no send errors" 0 errors;
-  Alcotest.(check bool) "reorders injected" true ((Chaos.stats chaos).Chaos.s_reordered > 0);
-  let reseq = List.assoc "resequenced" (Context.chan_stats_to_list ctx) in
+  Alcotest.(check bool) "reorders injected" true
+    (Metrics.value (Chaos.stats chaos).Chaos.s_reordered > 0);
+  let reseq = List.assoc "resequenced" (Metrics.values (Context.chan_stats ctx)) in
   Alcotest.(check bool) "receiver resequenced" true (reseq > 0)
 
 let test_partition_exhausts_retry_budget () =
@@ -172,7 +175,7 @@ let test_partition_exhausts_retry_budget () =
       | Error Transport.Send_timed_out -> ()
       | Ok () | Error _ -> Alcotest.fail "expected Send_timed_out on a down channel");
   check Alcotest.(list string) "nothing delivered" [] (drain_payloads p);
-  let aborts = List.assoc "aborts" (Context.chan_stats_to_list ctx) in
+  let aborts = List.assoc "aborts" (Metrics.values (Context.chan_stats ctx)) in
   check Alcotest.int "one channel abort" 1 aborts
 
 let test_heal_revives_channel () =
@@ -249,7 +252,7 @@ let test_same_seed_same_faults () =
   let run () =
     let eng, _, ctx, chaos = make_chaos_ctx ~seed:7 { Chaos.perfect with drop = 0.2; duplicate = 0.1 } in
     let got, _ = run_numbered_sends eng ctx () in
-    (got, Chaos.stats_to_list chaos, Context.chan_stats_to_list ctx)
+    (got, Metrics.values (Chaos.stats chaos).Chaos.s_group, Metrics.values (Context.chan_stats ctx))
   in
   let a = run () and b = run () in
   let pp = Alcotest.(pair (list string) (pair (list (pair string int)) (list (pair string int)))) in

@@ -9,6 +9,7 @@ open Mach
 module Vm_page = Mach_vm.Vm_page
 module Page_queues = Mach_vm.Page_queues
 module Dlist = Mach_util.Dlist
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 let page = 4096
@@ -115,9 +116,9 @@ let test_chain_depth_bounded () =
       if d > 2 then Alcotest.failf "generation %d left chain depth %d (bound 2)" (i + 1) d)
     depths;
   Alcotest.(check bool) "collapses fired every generation" true
-    (stats.Vm_types.s_collapses >= 8);
+    (Metrics.value stats.Vm_types.s_collapses >= 8);
   Alcotest.(check bool) "walked depth also bounded" true
-    (stats.Vm_types.s_chain_depth_peak <= 2)
+    (Metrics.value stats.Vm_types.s_chain_depth_peak <= 2)
 
 (* ---- the toggles gate the mechanisms ---------------------------------- *)
 
@@ -128,11 +129,13 @@ let test_steal_and_cluster_toggles () =
         Kernel.stats sys.Kernel.kernel)
   in
   let on = run ~steal:true ~cluster:true in
-  Alcotest.(check bool) "stealing happens when enabled" true (on.Vm_types.s_cow_steals > 0);
-  Alcotest.(check bool) "clustering happens when enabled" true (on.Vm_types.s_cow_batched > 0);
+  Alcotest.(check bool) "stealing happens when enabled" true
+    (Metrics.value on.Vm_types.s_cow_steals > 0);
+  Alcotest.(check bool) "clustering happens when enabled" true
+    (Metrics.value on.Vm_types.s_cow_batched > 0);
   let off = run ~steal:false ~cluster:false in
-  check Alcotest.int "no steals when disabled" 0 off.Vm_types.s_cow_steals;
-  check Alcotest.int "no batched pages when disabled" 0 off.Vm_types.s_cow_batched
+  check Alcotest.int "no steals when disabled" 0 (Metrics.value off.Vm_types.s_cow_steals);
+  check Alcotest.int "no batched pages when disabled" 0 (Metrics.value off.Vm_types.s_cow_batched)
 
 (* ---- terminate-path collapse ------------------------------------------ *)
 
@@ -148,12 +151,13 @@ let test_terminate_path_collapse () =
   (* Drop the creator's reference: b is now held only by its shadows. *)
   Vm_object.deallocate kctx b;
   check Alcotest.int "no collapse while both shadows live" 0
-    kctx.Kctx.stats.Vm_types.s_collapses;
+    (Metrics.value kctx.Kctx.stats.Vm_types.s_collapses);
   check Alcotest.int "s1 still chained" 1 (Vm_object.chain_depth s1);
   (* s2 exits: its terminate drops b to one reference held by s1, and
      the collapse fires from the survivor. *)
   Vm_object.deallocate kctx s2;
-  check Alcotest.int "collapse fired at sibling exit" 1 kctx.Kctx.stats.Vm_types.s_collapses;
+  check Alcotest.int "collapse fired at sibling exit" 1
+    (Metrics.value kctx.Kctx.stats.Vm_types.s_collapses);
   check Alcotest.int "survivor flattened" 0 (Vm_object.chain_depth s1);
   Alcotest.(check bool) "backing gone" false b.Vm_types.obj_alive;
   match Vm_object.lookup_chain s1 ~offset:0 with
@@ -183,7 +187,8 @@ let test_object_cache_lru () =
       Vm_object.deallocate kctx o3);
   Engine.run kctx.Kctx.engine;
   (* Cap 2: caching o3 evicted the coldest entry (o1), terminating it. *)
-  check Alcotest.int "one eviction" 1 kctx.Kctx.stats.Vm_types.s_object_cache_evictions;
+  check Alcotest.int "one eviction" 1
+    (Metrics.value kctx.Kctx.stats.Vm_types.s_object_cache_evictions);
   Alcotest.(check bool) "coldest object terminated" false o1.Vm_types.obj_alive;
   Alcotest.(check bool) "o1 off the list" false (Vm_object.cache_is_member kctx o1);
   Alcotest.(check bool) "o2 cached" true (Vm_object.cache_is_member kctx o2);
@@ -195,7 +200,7 @@ let test_object_cache_lru () =
   Alcotest.(check bool) "revived object left the list" false
     (Vm_object.cache_is_member kctx o2);
   check Alcotest.int "no extra eviction on revival" 1
-    kctx.Kctx.stats.Vm_types.s_object_cache_evictions;
+    (Metrics.value kctx.Kctx.stats.Vm_types.s_object_cache_evictions);
   check Alcotest.int "one cached object remains" 1 (Dlist.length kctx.Kctx.cached_objects)
 
 (* ---- qcheck: the copy engine is invisible to programs ----------------- *)

@@ -9,6 +9,7 @@
    across hosts, for any interleaving of sends and writes. *)
 
 open Mach
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 let page = 4096
@@ -95,17 +96,18 @@ let test_lazy_copyout_faults_counted () =
       let size = 4 * page in
       let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
       write_str sender ~addr "payload";
-      let copyins0 = stats.Transport.s_copyins in
+      let copyins0 = Metrics.value stats.Transport.s_copyins in
       send_region sender ~addr ~size ~dest:svc_port;
-      check Alcotest.int "one copyin at send" 1 (stats.Transport.s_copyins - copyins0);
-      let faults0 = stats.Transport.s_lazy_copyout_faults in
+      check Alcotest.int "one copyin at send" 1
+        (Metrics.value stats.Transport.s_copyins - copyins0);
+      let faults0 = Metrics.value stats.Transport.s_lazy_copyout_faults in
       let raddr, _ = receive_mapped receiver ~svc in
       check Alcotest.int "mapping alone faults nothing" 0
-        (stats.Transport.s_lazy_copyout_faults - faults0);
+        (Metrics.value stats.Transport.s_lazy_copyout_faults - faults0);
       check Alcotest.string "first touch pages the copy in" "payload"
         (read_str receiver ~addr:raddr ~len:7);
       Alcotest.(check bool) "lazy copy-out faults counted" true
-        (stats.Transport.s_lazy_copyout_faults > faults0))
+        (Metrics.value stats.Transport.s_lazy_copyout_faults > faults0))
 
 let test_remote_copy_transfer () =
   let cluster = Kernel.create_cluster ~hosts:2 () in

@@ -1,6 +1,6 @@
-(* The observability spine: Metrics registry semantics (snapshot /
-   delta / merge / reset, QCheck'd against direct counter reads) and
-   Trace behaviour (span balance, ring wraparound, disabled no-op), and
+(* The observability spine: Metrics registry semantics (counter
+   groups, snapshot / delta / merge, QCheck'd against direct counter
+   reads) and Trace behaviour (span balance, ring wraparound, disabled no-op), and
    an end-to-end check that a kernel fault storm produces balanced,
    causally linked spans. *)
 
@@ -11,25 +11,50 @@ module Metrics = Mach_util.Metrics
 
 (* ---- Metrics ------------------------------------------------------------ *)
 
-let test_registry_sources () =
+let test_registry_groups () =
   let r = Metrics.create () in
-  let block = ref (0, 0) in
-  Metrics.register_source r ~subsystem:"blk"
-    ~reset:(fun () -> block := (0, 0))
-    (fun () ->
-      let a, b = !block in
-      [ ("a", a); ("b", b) ]);
+  let g = Metrics.group () in
+  let a = Metrics.counter g "a" in
+  let b = Metrics.counter g "b" in
+  Metrics.attach r ~subsystem:"blk" g;
   Metrics.gauge r ~subsystem:"blk" "depth" (fun () -> 7);
-  block := (3, 4);
+  Metrics.add a 3;
+  Metrics.add b 4;
   let snap = Metrics.snapshot r in
-  check (float 0.0) "source a" 3.0 (Metrics.get snap "blk.a");
-  check (float 0.0) "source b" 4.0 (Metrics.get snap "blk.b");
+  check (float 0.0) "group a" 3.0 (Metrics.get snap "blk.a");
+  check (float 0.0) "group b" 4.0 (Metrics.get snap "blk.b");
   check (float 0.0) "gauge" 7.0 (Metrics.get snap "blk.depth");
-  (* Duplicate keys (two sources of the same subsystem) sum. *)
-  Metrics.register_source r ~subsystem:"blk" (fun () -> [ ("a", 10) ]);
-  check (float 0.0) "duplicate keys sum" 13.0 (Metrics.get (Metrics.snapshot r) "blk.a");
-  Metrics.reset r;
-  check (float 0.0) "source reset ran" 0.0 (Metrics.get (Metrics.snapshot r) "blk.b")
+  check (list (pair string int)) "values in declaration order" [ ("a", 3); ("b", 4) ]
+    (Metrics.values g);
+  (* A counter declared after the group was attached is still reported,
+     and raise_to keeps a high-water mark. *)
+  let peak = Metrics.counter g "peak" in
+  List.iter (Metrics.raise_to peak) [ 5; 2; 9; 4 ];
+  check (float 0.0) "late counter, high-water mark" 9.0
+    (Metrics.get (Metrics.snapshot r) "blk.peak");
+  (* Duplicate keys (two groups of the same subsystem) sum. *)
+  let g2 = Metrics.group () in
+  Metrics.add (Metrics.counter g2 "a") 10;
+  Metrics.attach r ~subsystem:"blk" g2;
+  check (float 0.0) "duplicate keys sum" 13.0 (Metrics.get (Metrics.snapshot r) "blk.a")
+
+(* The increment path is one store: no allocation, whatever the call
+   site's optimisation level. *)
+let test_counters_allocate_nothing () =
+  let g = Metrics.group () in
+  let c = Metrics.counter g "c" in
+  let peak = Metrics.counter g "peak" in
+  let calibrate = Gc.minor_words () in
+  let overhead = Gc.minor_words () -. calibrate in
+  let before = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    Metrics.incr c;
+    Metrics.add c i;
+    Metrics.raise_to peak i
+  done;
+  check (float 0.0) "minor words over 10^5 calls each" 0.0
+    (Gc.minor_words () -. before -. overhead);
+  check int "raise_to reached the last value" 100_000 (Metrics.value peak)
 
 let test_histogram_keys () =
   let r = Metrics.create () in
@@ -40,17 +65,21 @@ let test_histogram_keys () =
   let snap = Metrics.snapshot r in
   check (float 0.0) "count" 3.0 (Metrics.get snap "vm.lat_us.count");
   check (float 0.001) "mean" 20.0 (Metrics.get snap "vm.lat_us.mean");
-  check (float 0.001) "max" 30.0 (Metrics.get snap "vm.lat_us.max");
-  Metrics.reset r;
-  check (float 0.0) "reset empties samples" 0.0
-    (Metrics.get (Metrics.snapshot r) "vm.lat_us.count")
+  check (float 0.001) "max" 30.0 (Metrics.get snap "vm.lat_us.max")
+
+(* One counter [name] in a fresh group, attached under [subsystem]. *)
+let attached_counter r ~subsystem name =
+  let g = Metrics.group () in
+  let c = Metrics.counter g name in
+  Metrics.attach r ~subsystem g;
+  c
 
 let test_delta_merge () =
   let r = Metrics.create () in
-  let c = Metrics.counter r ~subsystem:"s" "n" in
-  Metrics.incr c ~by:5;
+  let c = attached_counter r ~subsystem:"s" "n" in
+  Metrics.add c 5;
   let before = Metrics.snapshot r in
-  Metrics.incr c ~by:7;
+  Metrics.add c 7;
   let after = Metrics.snapshot r in
   check (float 0.0) "delta" 7.0 (Metrics.get (Metrics.delta ~before ~after) "s.n");
   let merged = Metrics.merge [ before; after ] in
@@ -65,23 +94,22 @@ let prop_snapshot_agrees =
     QCheck.(pair (list (int_bound 100)) (list (int_bound 100)))
     (fun (first, second) ->
       let r = Metrics.create () in
-      let c = Metrics.counter r ~subsystem:"q" "c" in
+      let c = attached_counter r ~subsystem:"q" "c" in
       let h = Metrics.histogram r ~subsystem:"q" "h" in
-      List.iter (fun n -> Metrics.incr c ~by:n; Metrics.observe h (float_of_int n)) first;
+      List.iter (fun n -> Metrics.add c n; Metrics.observe h (float_of_int n)) first;
       let before = Metrics.snapshot r in
-      List.iter (fun n -> Metrics.incr c ~by:n) second;
+      List.iter (Metrics.add c) second;
       let after = Metrics.snapshot r in
       let sum l = List.fold_left ( + ) 0 l in
       Metrics.get before "q.c" = float_of_int (sum first)
-      && Metrics.counter_value c = sum first + sum second
-      && Metrics.get after "q.c" = float_of_int (Metrics.counter_value c)
+      && Metrics.value c = sum first + sum second
+      && Metrics.get after "q.c" = float_of_int (Metrics.value c)
       && Metrics.get (Metrics.delta ~before ~after) "q.c" = float_of_int (sum second)
       && Metrics.get before "q.h.count" = float_of_int (List.length first))
 
 let test_json_shape () =
   let r = Metrics.create () in
-  let c = Metrics.counter r ~subsystem:"j" "k" in
-  Metrics.incr c ~by:2;
+  Metrics.add (attached_counter r ~subsystem:"j" "k") 2;
   let json = Metrics.to_json (Metrics.snapshot r) in
   check bool "flat key: value pair present" true
     (let sub = {|"j.k": 2|} in
@@ -199,7 +227,7 @@ let test_kernel_fault_spans () =
       (fun sp -> sp.Trace.sp_sub = "vm" && sp.Trace.sp_label = "fault")
       (Trace.spans tr)
   in
-  check int "every fault spanned" (Kernel.stats kernel).Vm_types.s_faults
+  check int "every fault spanned" (Metrics.value (Kernel.stats kernel).Vm_types.s_faults)
     (List.length faults);
   List.iter
     (fun sp -> check string "anonymous touches zero-fill" "zero_fill" sp.Trace.sp_resolution)
@@ -208,10 +236,10 @@ let test_kernel_fault_spans () =
      histogram fed by the fault handler. *)
   let snap = Metrics.snapshot (Kernel.metrics kernel) in
   check (float 0.0) "registry saw the faults"
-    (float_of_int (Kernel.stats kernel).Vm_types.s_faults)
+    (float_of_int (Metrics.value (Kernel.stats kernel).Vm_types.s_faults))
     (Metrics.get snap "vm.faults");
   check (float 0.0) "fault histogram observed every fault"
-    (float_of_int (Kernel.stats kernel).Vm_types.s_faults)
+    (float_of_int (Metrics.value (Kernel.stats kernel).Vm_types.s_faults))
     (Metrics.get snap "vm.fault_us.count")
 
 let () =
@@ -219,7 +247,8 @@ let () =
     [
       ( "metrics",
         [
-          test_case "sources, gauges, reset" `Quick test_registry_sources;
+          test_case "groups, gauges" `Quick test_registry_groups;
+          test_case "counters allocate nothing" `Quick test_counters_allocate_nothing;
           test_case "histogram snapshot keys" `Quick test_histogram_keys;
           test_case "delta and merge" `Quick test_delta_merge;
           test_case "json shape" `Quick test_json_shape;

@@ -5,6 +5,7 @@
 open Mach
 module Mos = Memory_object_server
 module Page_queues = Mach_vm.Page_queues
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 let page = 4096
@@ -35,7 +36,7 @@ let test_anonymous_paging_roundtrip () =
         | Error e -> Alcotest.failf "write %d: %a" i Access.pp_error e
       done;
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "pageouts happened" true (stats.Vm_types.s_pageouts > 0);
+      Alcotest.(check bool) "pageouts happened" true (Metrics.value stats.Vm_types.s_pageouts > 0);
       (* Read everything back: early pages were paged out to the
          default pager and must return with correct contents. *)
       for i = 0 to npages - 1 do
@@ -44,7 +45,8 @@ let test_anonymous_paging_roundtrip () =
         | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
       done;
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "pageins from default pager" true (stats.Vm_types.s_pageins > 0);
+      Alcotest.(check bool) "pageins from default pager" true
+        (Metrics.value stats.Vm_types.s_pageins > 0);
       Alcotest.(check bool) "paging disk used" true (Disk.ops sys.Kernel.kernel.Ktypes.k_paging_disk > 0))
 
 let test_repaged_data_modifiable () =
@@ -97,11 +99,11 @@ let test_lru_prefers_cold_pages () =
         done
       done;
       (* The hot pages should still be resident (no pagein needed). *)
-      let before = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
+      let before = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
       for h = 0 to hot_pages - 1 do
         ignore (Syscalls.touch task ~addr:(addr + (h * page)) ~write:false ())
       done;
-      let after = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
+      let after = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
       check Alcotest.int "hot set stayed resident" 0 (after - before);
       ignore kctx)
 
@@ -119,7 +121,7 @@ let test_default_pager_stats () =
       done;
       (* The default pager's backing store now holds pages. *)
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "pageouts counted" true (stats.Vm_types.s_pageouts > 40);
+      Alcotest.(check bool) "pageouts counted" true (Metrics.value stats.Vm_types.s_pageouts > 40);
       Alcotest.(check bool) "paging disk has writes" true
         (Disk.writes sys.Kernel.kernel.Ktypes.k_paging_disk > 0))
 
@@ -149,7 +151,7 @@ let test_paging_blocks_recycled () =
       (* Five rounds of ~56+ paged-out pages each would need hundreds
          of blocks if leaked; all must have come back. *)
       Alcotest.(check bool) "no pageouts would invalidate this test" true
-        ((Kernel.stats kernel).Vm_types.s_pageouts > 0);
+        (Metrics.value (Kernel.stats kernel).Vm_types.s_pageouts > 0);
       check Alcotest.int "all paging blocks recycled" free_at_start (Default_pager.blocks_free dp))
 
 (* A manager task whose callbacks we control; returns the server, the
@@ -199,7 +201,7 @@ let test_refault_during_clean () =
       done;
       let req = Ivar.read req_port in
       let requests_before = !requests in
-      let hits_before = (Kernel.stats kernel).Vm_types.s_clean_hits in
+      let hits_before = Metrics.value (Kernel.stats kernel).Vm_types.s_clean_hits in
       Mos.clean_request srv ~request:req ~offset:0 ~length:(npages * page);
       (* Let the kernel launder the run, then refault mid-clean. *)
       Engine.sleep 500.0;
@@ -213,7 +215,7 @@ let test_refault_during_clean () =
       done;
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "refaults absorbed by the laundry queue" true
-        (stats.Vm_types.s_clean_hits > hits_before);
+        (Metrics.value stats.Vm_types.s_clean_hits > hits_before);
       check Alcotest.int "no second data_request to the manager" requests_before !requests;
       check Alcotest.int "laundry drained" 0 (Page_queues.laundry_count kctx.Kctx.queues))
 
@@ -238,14 +240,14 @@ let test_rescue_still_double_pages () =
         ignore (Syscalls.touch task ~addr:(addr + (i * page)) ~write:true ())
       done;
       let req = Ivar.read req_port in
-      let rescued_before = (Kernel.stats kernel).Vm_types.s_pageout_to_default in
+      let rescued_before = Metrics.value (Kernel.stats kernel).Vm_types.s_pageout_to_default in
       Mos.clean_request srv ~request:req ~offset:0 ~length:(npages * page);
       (* Sleep past the rescue timeout. *)
       let kctx = kernel.Ktypes.k_kctx in
       Engine.sleep (kctx.Kctx.data_write_release_timeout_us +. 100_000.0);
       let stats = Kernel.stats kernel in
       Alcotest.(check bool) "rescue double-paged the run to the default pager" true
-        (stats.Vm_types.s_pageout_to_default > rescued_before);
+        (Metrics.value stats.Vm_types.s_pageout_to_default > rescued_before);
       check Alcotest.int "laundry drained by the rescue" 0
         (Page_queues.laundry_count kctx.Kctx.queues);
       (* The pages are gone; faulting again must re-request from the

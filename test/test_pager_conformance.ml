@@ -78,7 +78,7 @@ let has_lock_reply =
    answer — 4 for everyone except copy-on-reference migration, which
    deliberately reshapes the cluster down to the demanded page. *)
 let run_scenario ?(min_read_pages = 4) d ~dest ~stats =
-  let field k = List.assoc k (Rt_stats.to_list (stats ())) in
+  let field k = List.assoc k (Mach_util.Metrics.values (stats ()).Rt_stats.s_group) in
   let checkb = Alcotest.(check bool) in
   (* 1. init: attach this "kernel" to the object. *)
   send d (Pager_iface.Init { memory_object = dest; request = d.d_request; name = d.d_request })

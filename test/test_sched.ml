@@ -6,6 +6,7 @@
 open Mach
 module Sched = Mach_sim.Sched
 module Rng = Mach_util.Rng
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 
@@ -32,7 +33,7 @@ let workload_trace ~seed ~cpus ~threads ~bursts =
             plan))
     plans;
   Engine.run eng;
-  (List.rev !trace, Sched.stats_to_list (Sched.stats s), Sched.busy_us s)
+  (List.rev !trace, Metrics.values (Sched.stats s).Sched.s_group, Sched.busy_us s)
 
 let test_determinism () =
   let a = workload_trace ~seed:42 ~cpus:3 ~threads:5 ~bursts:12 in
@@ -68,7 +69,7 @@ let test_parallel_on_enough_cpus () =
       [ 100.0; 100.0; 100.0; 100.0 ] in
   check Alcotest.int "all finished" 4 finished;
   Alcotest.(check bool) "ran in parallel" true (elapsed < 150.0);
-  check Alcotest.int "no switch charges on idle acquires" 0 st.Sched.s_switches
+  check Alcotest.int "no switch charges on idle acquires" 0 (Metrics.value st.Sched.s_switches)
 
 let test_quantum_preemption () =
   (* Two 25ms bursts on one CPU with a 10ms quantum interleave: the
@@ -83,7 +84,8 @@ let test_quantum_preemption () =
       second_start := Engine.now eng;
       Sched.compute s 25_000.0);
   Engine.run eng;
-  Alcotest.(check bool) "preemptions happened" true ((Sched.stats s).Sched.s_preemptions >= 2);
+  Alcotest.(check bool) "preemptions happened" true
+    (Metrics.value (Sched.stats s).Sched.s_preemptions >= 2);
   Alcotest.(check bool) "b started before a finished (timeslicing)" true
     (!second_start < !first_done)
 
@@ -99,8 +101,8 @@ let test_affinity_preferred () =
       done);
   Engine.run eng;
   let st = Sched.stats s in
-  Alcotest.(check bool) "affinity hits" true (st.Sched.s_affinity_hits >= 4);
-  check Alcotest.int "no migrations" 0 st.Sched.s_migrations
+  Alcotest.(check bool) "affinity hits" true (Metrics.value st.Sched.s_affinity_hits >= 4);
+  check Alcotest.int "no migrations" 0 (Metrics.value st.Sched.s_migrations)
 
 let test_handoff_expiry () =
   (* A donation nobody claims frees the processor after one
@@ -122,7 +124,7 @@ let test_handoff_expiry () =
       late_done := true);
   Engine.run eng;
   Alcotest.(check bool) "burst ran after expiry" true !late_done;
-  check Alcotest.int "expiry counted" 1 (Sched.stats s).Sched.s_handoff_expired
+  check Alcotest.int "expiry counted" 1 (Metrics.value (Sched.stats s).Sched.s_handoff_expired)
 
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
@@ -161,7 +163,7 @@ let no_starvation_prop =
         plans;
       Engine.run eng;
       !completed = total
-      && (Sched.stats s).Sched.s_idle_with_waiter = 0
+      && Metrics.value (Sched.stats s).Sched.s_idle_with_waiter = 0
       && Sched.queued s = 0
       && Sched.idle_cpus s = cpus)
 
@@ -196,8 +198,8 @@ let test_rpc_handoff_no_switch () =
              Engine.sleep 100.0;
              let reply = Syscalls.port_allocate task ~backlog:1 () in
              let reply_port = Port_space.lookup_exn (Task.space task) reply in
-             let sw0 = (Sched.stats sched).Sched.s_switches in
-             let ho0 = istats.Transport.s_handoffs in
+             let sw0 = Metrics.value (Sched.stats sched).Sched.s_switches in
+             let ho0 = Metrics.value istats.Transport.s_handoffs in
              (match
                 Syscalls.msg_rpc task
                   (Message.make ~dest:svc_port ~reply:reply_port [ Message.Data (Bytes.create 4) ])
@@ -206,11 +208,11 @@ let test_rpc_handoff_no_switch () =
              | Ok _ -> ()
              | Error _ -> Alcotest.fail "rpc failed");
              check Alcotest.int "no context-switch charges on the RPC"
-               sw0 (Sched.stats sched).Sched.s_switches;
+               sw0 (Metrics.value (Sched.stats sched).Sched.s_switches);
              check Alcotest.int "request and reply both handed off"
-               (ho0 + 2) istats.Transport.s_handoffs;
+               (ho0 + 2) (Metrics.value istats.Transport.s_handoffs);
              Alcotest.(check bool) "donations claimed" true
-               ((Sched.stats sched).Sched.s_handoff_claims >= 1);
+               (Metrics.value (Sched.stats sched).Sched.s_handoff_claims >= 1);
              ok := true)));
   Engine.run sys.Kernel.engine;
   Alcotest.(check bool) "scenario completed" true !ok

@@ -4,6 +4,7 @@
 open Mach
 module Minimal_fs = Mach_pagers.Minimal_fs
 module Mos = Memory_object_server
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 let page = 4096
@@ -40,13 +41,13 @@ let test_wired_pages_survive_pressure () =
       done;
       (* The wired pages must never have been paged out: reading them
          causes no pageins. *)
-      let before = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
+      let before = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
       for i = 0 to wired_pages - 1 do
         match Syscalls.read_bytes task ~addr:(wired + (i * page)) ~len:6 () with
         | Ok b -> check Alcotest.string "pinned data" "pinned" (Bytes.to_string b)
         | Error e -> Alcotest.failf "wired read: %a" Access.pp_error e
       done;
-      let after = (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
+      let after = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_pageins in
       check Alcotest.int "no pageins for wired pages" 0 (after - before);
       (* After unwiring they become evictable again (no crash). *)
       Syscalls.vm_unwire task ~addr:wired ~size:(wired_pages * page))

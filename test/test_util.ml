@@ -128,22 +128,22 @@ let test_stats_stddev () =
 let test_counters () =
   let module M = Mach_util.Metrics in
   let r = M.create () in
-  let a = M.counter r ~subsystem:"t" "a" in
-  let b = M.counter r ~subsystem:"t" "b" in
+  let g = M.group () in
+  let a = M.counter g "a" in
+  let b = M.counter g "b" in
+  M.attach r ~subsystem:"t" g;
   M.incr a;
-  M.incr ~by:5 b;
+  M.add b 5;
   M.incr a;
-  check Alcotest.int "a" 2 (M.counter_value a);
-  check Alcotest.int "b" 5 (M.counter_value b);
+  check Alcotest.int "a" 2 (M.value a);
+  check Alcotest.int "b" 5 (M.value b);
   let snap = M.snapshot r in
   check
     Alcotest.(list (pair string (float 1e-9)))
     "sorted snapshot"
     [ ("t.a", 2.0); ("t.b", 5.0) ]
-    (M.to_list snap);
-  check (Alcotest.float 1e-9) "missing key" 0.0 (M.get snap "t.zzz");
-  M.reset r;
-  check (Alcotest.float 1e-9) "reset" 0.0 (M.get (M.snapshot r) "t.a")
+    snap;
+  check (Alcotest.float 1e-9) "missing key" 0.0 (M.get snap "t.zzz")
 
 let test_histogram () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in

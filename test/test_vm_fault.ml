@@ -4,6 +4,7 @@
 
 open Mach
 module Mos = Memory_object_server
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 let page = 4096
@@ -45,17 +46,17 @@ let counting_manager kernel ~lock_writes =
 let test_zero_fill_and_soft_fault () =
   with_system (fun sys task ->
       let addr = Syscalls.vm_allocate task ~size:page ~anywhere:true () in
-      let s0 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_zero_fill in
+      let s0 = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_zero_fill in
       ignore (Syscalls.touch task ~addr ~write:false ());
-      let s1 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_zero_fill in
+      let s1 = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_zero_fill in
       check Alcotest.int "one zero fill" 1 (s1 - s0);
       (* Invalidate the translation but keep the page: refault is soft. *)
       (match Vm_map.pmap (Task.map task) with
       | Some pm -> Mach_hw.Pmap.remove pm ~vpn:(addr / page)
       | None -> ());
-      let h0 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_hits in
+      let h0 = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_hits in
       ignore (Syscalls.touch task ~addr ~write:false ());
-      let h1 = (Kernel.stats sys.Kernel.kernel).Vm_types.s_hits in
+      let h1 = Metrics.value (Kernel.stats sys.Kernel.kernel).Vm_types.s_hits in
       check Alcotest.int "soft fault hit" 1 (h1 - h0))
 
 let test_manager_write_lock_unlock_flow () =
@@ -77,7 +78,8 @@ let test_manager_write_lock_unlock_flow () =
       | Error e -> Alcotest.failf "write: %a" Access.pp_error e);
       check Alcotest.(list int) "one unlock for page 0" [ 0 ] !unlocks;
       let stats = Kernel.stats sys.Kernel.kernel in
-      Alcotest.(check bool) "unlock counted" true (stats.Vm_types.s_unlock_requests >= 1))
+      Alcotest.(check bool) "unlock counted" true
+        (Metrics.value stats.Vm_types.s_unlock_requests >= 1))
 
 let test_data_unavailable_zero_fills () =
   with_system (fun sys task ->
@@ -99,7 +101,7 @@ let test_data_unavailable_zero_fills () =
       | Ok b ->
         check Alcotest.string "zero filled" (String.make 8 '\000') (Bytes.to_string b);
         let stats = Kernel.stats sys.Kernel.kernel in
-        Alcotest.(check bool) "counted" true (stats.Vm_types.s_data_unavailable >= 1)
+        Alcotest.(check bool) "counted" true (Metrics.value stats.Vm_types.s_data_unavailable >= 1)
       | Error e -> Alcotest.failf "read: %a" Access.pp_error e)
 
 let test_concurrent_faults_coalesce () =
@@ -390,8 +392,9 @@ let test_clustered_request_multi_page_provide () =
         Alcotest.(list (pair int int))
         "one clustered request" [ (0, 8 * page) ] !requests;
       let stats = Kernel.stats sys.Kernel.kernel in
-      check Alcotest.int "eight pages paged in" 8 stats.Vm_types.s_pageins;
-      Alcotest.(check bool) "cluster counted" true (stats.Vm_types.s_cluster_pages >= 7))
+      check Alcotest.int "eight pages paged in" 8 (Metrics.value stats.Vm_types.s_pageins);
+      Alcotest.(check bool) "cluster counted" true
+        (Metrics.value stats.Vm_types.s_cluster_pages >= 7))
 
 let test_cluster_clipped_at_object_end () =
   (* The cluster window must not run past the end of the memory object:

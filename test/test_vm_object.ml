@@ -13,6 +13,7 @@ module Vm_types = Mach_vm.Vm_types
 module Vm_object = Mach_vm.Vm_object
 module Vm_page = Mach_vm.Vm_page
 module Page_queues = Mach_vm.Page_queues
+module Metrics = Mach_util.Metrics
 
 let check = Alcotest.check
 let page = 4096
@@ -73,7 +74,7 @@ let test_collapse_with_offset_delta () =
   check Alcotest.int "b has one ref" 1 b.Vm_types.ref_count;
   Vm_object.collapse kctx s;
   check Alcotest.int "chain flattened" 0 (Vm_object.chain_depth s);
-  check Alcotest.int "one collapse" 1 kctx.Kctx.stats.Vm_types.s_collapses;
+  check Alcotest.int "one collapse" 1 (Metrics.value kctx.Kctx.stats.Vm_types.s_collapses);
   (* b's page at 4*page moved to s offset 0; the out-of-view page at
      6*page (s covers only 2 pages from base 4*page... offset 6*page ->
      up_offset 2*page which is beyond s's 2-page span) was freed. *)
@@ -94,7 +95,7 @@ let test_collapse_skips_shared_backing () =
   (* b now has 3 refs (original + two shadows): no collapse allowed. *)
   Vm_object.collapse kctx s1;
   check Alcotest.int "still chained" 1 (Vm_object.chain_depth s1);
-  check Alcotest.int "no collapse" 0 kctx.Kctx.stats.Vm_types.s_collapses
+  check Alcotest.int "no collapse" 0 (Metrics.value kctx.Kctx.stats.Vm_types.s_collapses)
 
 let test_collapse_respects_toggle () =
   let kctx = make_kctx () in
