@@ -72,13 +72,12 @@ let run_write_through ~txns ~updates_per_txn =
         for _ = 1 to updates_per_txn do
           let offset = 16 * Rng.int rng (256 * page / 16) in
           let idx = offset / page in
-          let block =
-            match Mach_fs.Fs_layout.read_block fs "db" ~index:idx with
-            | Some b -> b
-            | None -> Bytes.make page '\000'
-          in
+          let block = Bytes.make page '\000' in
+          ignore
+            (Mach_fs.Fs_layout.read_block_into fs "db" ~index:idx ~src_off:0 ~dst:block ~dst_off:0
+               ~len:page);
           Bytes.blit (Bytes.make 8 'u') 0 block (offset mod page) 8;
-          Mach_fs.Fs_layout.write_block fs "db" ~index:idx block
+          Mach_fs.Fs_layout.write_block_from fs "db" ~index:idx ~src:block ~src_off:0 ~len:page
         done
       done;
       result :=

@@ -67,8 +67,8 @@ let run_body ~rounds =
       let prompt_policy =
         {
           Rt.default_policy with
-          Rt.p_read =
-            (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'e'));
+          Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data page);
+          p_read_into = (fun _ _ ~page:_ ~dst ~dst_off ~len -> Bytes.fill dst dst_off len 'e');
         }
       in
       let prompt_rt, srv = Rt.serve mgr_task prompt_policy in
@@ -93,8 +93,8 @@ let run_body ~rounds =
         {
           Rt.default_policy with
           Rt.p_init = (fun _ _ ~request -> Ivar.fill wb_request request);
-          Rt.p_read =
-            (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data (Bytes.make page 'w'));
+          Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data page);
+          p_read_into = (fun _ _ ~page:_ ~dst ~dst_off ~len -> Bytes.fill dst dst_off len 'w');
           Rt.p_prepare_write =
             (fun _ _ ~offset:_ ~data:_ ->
               (* Sit on the data long enough for refaults to land while

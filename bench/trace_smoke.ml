@@ -56,9 +56,9 @@ let run_storm ~traced =
              let policy =
                {
                  Rt.default_policy with
-                 Rt.p_read =
-                   (fun _ _ ~request:_ ~page:_ ~desired_access:_ ->
-                     Rt.Data (Bytes.make page 's'));
+                 Rt.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Rt.Data page);
+                 p_read_into =
+                   (fun _ _ ~page:_ ~dst ~dst_off ~len -> Bytes.fill dst dst_off len 's');
                }
              in
              let rt, srv = Rt.serve mgr policy in

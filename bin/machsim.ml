@@ -322,9 +322,9 @@ let run_storm ~rounds =
              let policy =
                {
                  Pager_runtime.default_policy with
-                 Pager_runtime.p_read =
-                   (fun _ _ ~request:_ ~page:_ ~desired_access:_ ->
-                     Pager_runtime.Data (Bytes.make page 'f'));
+                 Pager_runtime.p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Pager_runtime.Data page);
+                 p_read_into =
+                   (fun _ _ ~page:_ ~dst ~dst_off ~len -> Bytes.fill dst dst_off len 'f');
                }
              in
              let rt, srv = Pager_runtime.serve mgr policy in

@@ -46,8 +46,8 @@ let read t name ~off ~len =
       for i = first to last do
         let data =
           match Fs_layout.file_disk_block t.layout name ~index:i with
-          | Some blk -> Buffer_cache.bread t.bcache ~block:blk
-          | None -> Bytes.make t.bs '\000' (* hole *)
+          | 0 -> Bytes.make t.bs '\000' (* hole *)
+          | blk -> Buffer_cache.bread t.bcache ~block:blk
         in
         let lo = max off (i * t.bs) in
         let hi = min (off + len) ((i + 1) * t.bs) in

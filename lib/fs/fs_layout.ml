@@ -13,6 +13,9 @@ type inode = {
   mutable size : int;
   direct : int array;  (* data block numbers; 0 = unallocated *)
   mutable indirect : int;  (* block holding further pointers; 0 = none *)
+  mutable ptrs : int array;
+      (* [indirect] decoded, cached like the inode table itself; [||]
+         until first used *)
 }
 
 type t = {
@@ -54,7 +57,7 @@ let decode_inode b =
   let size = Codec.Dec.int d in
   let direct = Array.init direct_blocks (fun _ -> Codec.Dec.u32 d) in
   let indirect = Codec.Dec.u32 d in
-  { used; name; size; direct; indirect }
+  { used; name; size; direct; indirect; ptrs = [||] }
 
 let geometry disk ~max_files =
   let bs = Disk.block_size disk in
@@ -87,17 +90,14 @@ let flush_inode t idx =
   let inodes_per_block = bs / inode_size in
   let block = t.itable_start + (idx / inodes_per_block) in
   let slot = idx mod inodes_per_block in
-  (* Read-modify-write the metadata block without charging a read: the
-     table is cached in memory. *)
-  let raw = Disk.read_raw t.disk ~block in
-  Bytes.blit (encode_inode t.inodes.(idx)) 0 raw (slot * inode_size) inode_size;
-  Disk.write_raw t.disk ~block raw
+  (* Update the slot in place: the table is cached in memory, so the
+     rest of the block needs no read. *)
+  Disk.write_raw_from t.disk ~block ~dst_off:(slot * inode_size) ~src:(encode_inode t.inodes.(idx))
+    ~src_off:0 ~len:inode_size
 
 let flush_bitmap_byte t data_block =
-  let block = t.bitmap_start + (data_block / t.bs) in
-  let raw = Disk.read_raw t.disk ~block in
-  Bytes.set raw (data_block mod t.bs) (Bytes.get t.bitmap data_block);
-  Disk.write_raw t.disk ~block raw
+  Disk.write_raw_from t.disk ~block:(t.bitmap_start + (data_block / t.bs))
+    ~dst_off:(data_block mod t.bs) ~src:t.bitmap ~src_off:data_block ~len:1
 
 let data_block_count t = t.bitmap_blocks * t.bs
 
@@ -127,7 +127,14 @@ let format disk ~max_files =
       bs;
       inodes =
         Array.init (itable_blocks * inodes_per_block) (fun _ ->
-            { used = false; name = ""; size = 0; direct = Array.make direct_blocks 0; indirect = 0 });
+            {
+              used = false;
+              name = "";
+              size = 0;
+              direct = Array.make direct_blocks 0;
+              indirect = 0;
+              ptrs = [||];
+            });
       itable_start;
       itable_blocks;
       bitmap = Bytes.make (bitmap_blocks * bs) '\000';
@@ -188,7 +195,7 @@ let mount disk =
   t
 
 let lookup t name = Hashtbl.find_opt t.by_name name
-let exists t name = lookup t name <> None
+let exists t name = Hashtbl.mem t.by_name name
 
 let file_size t name =
   match lookup t name with Some idx -> Some t.inodes.(idx).size | None -> None
@@ -211,25 +218,33 @@ let create t name =
     ino.size <- 0;
     Array.fill ino.direct 0 direct_blocks 0;
     ino.indirect <- 0;
+    ino.ptrs <- [||];
     Hashtbl.replace t.by_name name idx;
     flush_inode t idx
   end
 
+(* The decoded indirect block, read (uncharged, like the rest of the
+   metadata) on first use and kept with the inode after that. Without an
+   indirect block the pointers start from zero: nothing half-built by a
+   failed allocation survives. *)
 let indirect_ptrs t ino =
-  if ino.indirect = 0 then Array.make t.ptrs_per_block 0
-  else begin
+  if ino.indirect = 0 then ino.ptrs <- Array.make t.ptrs_per_block 0
+  else if Array.length ino.ptrs = 0 then begin
     let raw = Disk.read_raw t.disk ~block:ino.indirect in
-    Array.init t.ptrs_per_block (fun i -> Bytes.get_uint16_le raw (4 * i) lor (Bytes.get_uint16_le raw ((4 * i) + 2) lsl 16))
-  end
+    ino.ptrs <-
+      Array.init t.ptrs_per_block (fun i ->
+          Bytes.get_uint16_le raw (4 * i) lor (Bytes.get_uint16_le raw ((4 * i) + 2) lsl 16))
+  end;
+  ino.ptrs
 
-let write_indirect t ino ptrs =
+let write_indirect t ino =
   if ino.indirect = 0 then ino.indirect <- alloc_block t;
   let raw = Bytes.make t.bs '\000' in
   Array.iteri
     (fun i p ->
       Bytes.set_uint16_le raw (4 * i) (p land 0xffff);
       Bytes.set_uint16_le raw ((4 * i) + 2) ((p lsr 16) land 0xffff))
-    ptrs;
+    ino.ptrs;
   Disk.write t.disk ~block:ino.indirect raw
 
 (* The disk block holding file block [index], or 0. *)
@@ -238,6 +253,7 @@ let block_of t ino index =
   else
     let i = index - direct_blocks in
     if i >= t.ptrs_per_block then raise (Fs_error "file too large")
+    else if ino.indirect = 0 then 0
     else (indirect_ptrs t ino).(i)
 
 let ensure_block t idx ino index =
@@ -245,24 +261,47 @@ let ensure_block t idx ino index =
   if existing <> 0 then existing
   else begin
     let blk = alloc_block t in
-    if index < direct_blocks then begin
-      ino.direct.(index) <- blk;
-      flush_inode t idx
-    end
+    if index < direct_blocks then ino.direct.(index) <- blk
     else begin
-      let ptrs = indirect_ptrs t ino in
-      ptrs.(index - direct_blocks) <- blk;
-      write_indirect t ino ptrs;
-      flush_inode t idx
+      (indirect_ptrs t ino).(index - direct_blocks) <- blk;
+      write_indirect t ino
     end;
+    flush_inode t idx;
     blk
   end
 
+(* Free every block from file block [keep] on and clear its pointer, in
+   the cached copy and on disk; an indirect block left without pointers
+   is freed too. *)
+let free_blocks_from t ino ~keep =
+  for i = keep to direct_blocks - 1 do
+    if ino.direct.(i) <> 0 then begin
+      free_block t ino.direct.(i);
+      ino.direct.(i) <- 0
+    end
+  done;
+  if ino.indirect <> 0 then begin
+    let ptrs = indirect_ptrs t ino in
+    let cleared = ref false in
+    for i = max 0 (keep - direct_blocks) to t.ptrs_per_block - 1 do
+      if ptrs.(i) <> 0 then begin
+        free_block t ptrs.(i);
+        ptrs.(i) <- 0;
+        cleared := true
+      end
+    done;
+    if keep <= direct_blocks then begin
+      free_block t ino.indirect;
+      ino.indirect <- 0;
+      ino.ptrs <- [||]
+    end
+    else if !cleared then write_indirect t ino
+  end
+
 let file_disk_block t name ~index =
-  match lookup t name with
-  | None -> None
-  | Some idx -> (
-    match block_of t t.inodes.(idx) index with 0 -> None | blk -> Some blk)
+  match Hashtbl.find t.by_name name with
+  | idx -> block_of t t.inodes.(idx) index
+  | exception Not_found -> 0
 
 let ensure_disk_block t name ~index =
   create t name;
@@ -280,29 +319,30 @@ let note_file_size t name size =
       flush_inode t idx
     end
 
-let read_block t name ~index =
-  match lookup t name with
-  | None -> None
-  | Some idx ->
+let read_block_into t name ~index ~src_off ~dst ~dst_off ~len =
+  match Hashtbl.find t.by_name name with
+  | exception Not_found -> false
+  | idx ->
     let ino = t.inodes.(idx) in
-    if index < 0 || index * t.bs >= ino.size then None
-    else
-      let blk = block_of t ino index in
-      if blk = 0 then Some (Bytes.make t.bs '\000') else Some (Disk.read t.disk ~block:blk)
-
-let write_block t name ~index data =
-  (match lookup t name with None -> create t name | Some _ -> ());
-  match lookup t name with
-  | None -> assert false
-  | Some idx ->
-    let ino = t.inodes.(idx) in
-    let blk = ensure_block t idx ino index in
-    Disk.write t.disk ~block:blk data;
-    let upto = (index * t.bs) + Bytes.length data in
-    if upto > ino.size then begin
-      ino.size <- upto;
-      flush_inode t idx
+    if index < 0 || index * t.bs >= ino.size then false
+    else begin
+      (match block_of t ino index with
+      | 0 -> Bytes.fill dst dst_off len '\000'
+      | blk -> Disk.read_into t.disk ~block:blk ~src_off ~dst ~dst_off ~len);
+      true
     end
+
+let write_block_from t name ~index ~src ~src_off ~len =
+  create t name;
+  let idx = Hashtbl.find t.by_name name in
+  let ino = t.inodes.(idx) in
+  let blk = ensure_block t idx ino index in
+  Disk.write_from t.disk ~block:blk ~src ~src_off ~len;
+  let upto = (index * t.bs) + len in
+  if upto > ino.size then begin
+    ino.size <- upto;
+    flush_inode t idx
+  end
 
 let read_file t name =
   match lookup t name with
@@ -313,11 +353,9 @@ let read_file t name =
     let nblocks = (ino.size + t.bs - 1) / t.bs in
     for i = 0 to nblocks - 1 do
       let blk = block_of t ino i in
-      if blk <> 0 then begin
-        let data = Disk.read t.disk ~block:blk in
-        let len = min t.bs (ino.size - (i * t.bs)) in
-        Bytes.blit data 0 out (i * t.bs) len
-      end
+      if blk <> 0 then
+        Disk.read_into t.disk ~block:blk ~src_off:0 ~dst:out ~dst_off:(i * t.bs)
+          ~len:(min t.bs (ino.size - (i * t.bs)))
     done;
     Some out
 
@@ -328,16 +366,10 @@ let rec delete t name =
     let ino = t.inodes.(idx) in
     (* Free from the allocation pointers, not the recorded size: a
        failed whole-file write rolls back before the size is set. *)
-    Array.iter (fun blk -> if blk <> 0 then free_block t blk) ino.direct;
-    if ino.indirect <> 0 then begin
-      Array.iter (fun p -> if p <> 0 then free_block t p) (indirect_ptrs t ino);
-      free_block t ino.indirect
-    end;
+    free_blocks_from t ino ~keep:0;
     ino.used <- false;
     ino.name <- "";
     ino.size <- 0;
-    Array.fill ino.direct 0 direct_blocks 0;
-    ino.indirect <- 0;
     Hashtbl.remove t.by_name name;
     flush_inode t idx
 
@@ -356,20 +388,13 @@ and write_file_unchecked t name data =
   | None -> assert false
   | Some idx ->
     let ino = t.inodes.(idx) in
-    (* Free blocks past the new end. *)
     let old_blocks = (ino.size + t.bs - 1) / t.bs in
     let new_blocks = (Bytes.length data + t.bs - 1) / t.bs in
-    for i = new_blocks to old_blocks - 1 do
-      let blk = block_of t ino i in
-      if blk <> 0 then begin
-        free_block t blk;
-        if i < direct_blocks then ino.direct.(i) <- 0
-      end
-    done;
+    if new_blocks < old_blocks then free_blocks_from t ino ~keep:new_blocks;
     for i = 0 to new_blocks - 1 do
       let blk = ensure_block t idx ino i in
-      let len = min t.bs (Bytes.length data - (i * t.bs)) in
-      Disk.write t.disk ~block:blk (Bytes.sub data (i * t.bs) len)
+      Disk.write_from t.disk ~block:blk ~src:data ~src_off:(i * t.bs)
+        ~len:(min t.bs (Bytes.length data - (i * t.bs)))
     done;
     ino.size <- Bytes.length data;
     flush_inode t idx
@@ -387,10 +412,11 @@ let read_range t name ~off ~len =
       let last = (off + len - 1) / t.bs in
       for i = first to last do
         let blk = block_of t ino i in
-        let data = if blk = 0 then Bytes.make t.bs '\000' else Disk.read t.disk ~block:blk in
         let src_lo = max off (i * t.bs) in
         let src_hi = min (off + len) ((i + 1) * t.bs) in
-        Bytes.blit data (src_lo - (i * t.bs)) out (src_lo - off) (src_hi - src_lo)
+        if blk <> 0 then
+          Disk.read_into t.disk ~block:blk ~src_off:(src_lo - (i * t.bs)) ~dst:out
+            ~dst_off:(src_lo - off) ~len:(src_hi - src_lo)
       done;
       Some out
     end

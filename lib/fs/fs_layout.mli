@@ -42,12 +42,17 @@ val write_file : t -> string -> bytes -> unit
 val read_range : t -> string -> off:int -> len:int -> bytes option
 (** Range read (short when crossing EOF). *)
 
-val read_block : t -> string -> index:int -> bytes option
-(** Read the [index]-th file block (zero-filled past EOF within the
-    file's block span, [None] wholly outside). *)
+val read_block_into :
+  t -> string -> index:int -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> bool
+(** Copy [len] bytes of the [index]-th file block from [src_off] into
+    [dst] at [dst_off], charging one whole-block disk read. A block
+    inside the file that was never allocated reads as zeroes, uncharged.
+    [false], with [dst] untouched, when the block lies wholly past EOF. *)
 
-val write_block : t -> string -> index:int -> bytes -> unit
-(** Write one file block, extending the file if needed. *)
+val write_block_from : t -> string -> index:int -> src:bytes -> src_off:int -> len:int -> unit
+(** Write the [len]-byte slice of [src] at [src_off] (at most one
+    block) as the [index]-th file block, creating the file and
+    extending it if needed. *)
 
 (** {2 Block-level access for external caching layers}
 
@@ -55,9 +60,11 @@ val write_block : t -> string -> index:int -> bytes -> unit
     the disk: it translates file blocks to disk blocks here and does
     its own {!Mach_hw.Disk} I/O. *)
 
-val file_disk_block : t -> string -> index:int -> int option
-(** The disk block holding the [index]-th file block; [None] if the
-    file doesn't exist or the block was never allocated. *)
+val file_disk_block : t -> string -> index:int -> int
+(** The disk block holding the [index]-th file block; 0 (the
+    superblock, never a data block) if the file doesn't exist or the
+    block was never allocated. Allocates nothing once the file's
+    indirect block has been decoded. *)
 
 val ensure_disk_block : t -> string -> index:int -> int
 (** Allocate (if needed) and return the disk block for a file block,

@@ -54,31 +54,46 @@ let transfer t nbytes =
   Semaphore.with_permit t.arm (fun () ->
       Engine.sleep (t.seek_us +. (float_of_int nbytes *. t.transfer_us_per_byte)))
 
-let read t ~block =
+let check_range t what ~block_off ~buf ~buf_off ~len =
+  if len < 0 || block_off < 0 || block_off + len > t.block_size then
+    invalid_arg (Printf.sprintf "Disk.%s: range outside the block" what);
+  if buf_off < 0 || buf_off + len > Bytes.length buf then
+    invalid_arg (Printf.sprintf "Disk.%s: range outside the buffer" what)
+
+let read_into t ~block ~src_off ~dst ~dst_off ~len =
   check t block;
+  check_range t "read_into" ~block_off:src_off ~buf:dst ~buf_off:dst_off ~len;
   transfer t t.block_size;
   t.reads <- t.reads + 1;
   t.bytes_read <- t.bytes_read + t.block_size;
-  Bytes.copy t.store.(block)
+  Bytes.blit t.store.(block) src_off dst dst_off len
 
-let write t ~block data =
+let read t ~block =
+  let out = Bytes.create t.block_size in
+  read_into t ~block ~src_off:0 ~dst:out ~dst_off:0 ~len:t.block_size;
+  out
+
+let write_from t ~block ~src ~src_off ~len =
   check t block;
-  let len = Bytes.length data in
-  if len > t.block_size then invalid_arg "Disk.write: data larger than a block";
+  check_range t "write_from" ~block_off:0 ~buf:src ~buf_off:src_off ~len;
   transfer t len;
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + len;
-  Bytes.blit data 0 t.store.(block) 0 len
+  Bytes.blit src src_off t.store.(block) 0 len
+
+let write t ~block data = write_from t ~block ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let read_raw t ~block =
   check t block;
   Bytes.copy t.store.(block)
 
-let write_raw t ~block data =
+let write_raw_from t ~block ~dst_off ~src ~src_off ~len =
   check t block;
-  let len = Bytes.length data in
-  if len > t.block_size then invalid_arg "Disk.write_raw: data larger than a block";
-  Bytes.blit data 0 t.store.(block) 0 len
+  check_range t "write_raw" ~block_off:dst_off ~buf:src ~buf_off:src_off ~len;
+  Bytes.blit src src_off t.store.(block) dst_off len
+
+let write_raw t ~block data =
+  write_raw_from t ~block ~dst_off:0 ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let reads t = t.reads
 let writes t = t.writes

@@ -34,11 +34,25 @@ val write : t -> block:int -> bytes -> unit
 (** Blocking; data must be at most one block, shorter writes leave the
     block's tail unchanged. *)
 
+val read_into : t -> block:int -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** {!read} without the intermediate copy: charges the same whole-block
+    transfer, then copies [len] bytes of the block from [src_off] into
+    [dst] at [dst_off]. Both ranges are checked before anything is
+    charged. *)
+
+val write_from : t -> block:int -> src:bytes -> src_off:int -> len:int -> unit
+(** {!write} of the [len]-byte slice of [src] at [src_off], without
+    copying it out first. *)
+
 val read_raw : t -> block:int -> bytes
 (** Instantaneous, no time charge and no counter update — for crash
     recovery inspection in tests. *)
 
 val write_raw : t -> block:int -> bytes -> unit
+
+val write_raw_from : t -> block:int -> dst_off:int -> src:bytes -> src_off:int -> len:int -> unit
+(** Instantaneous in-place update of [len] bytes of the block at
+    [dst_off] — metadata read-modify-write without copying the block. *)
 
 (** {2 Statistics} *)
 

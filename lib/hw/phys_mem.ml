@@ -56,17 +56,13 @@ let free t f =
   t.free_count <- t.free_count + 1;
   Queue.add f t.free_list
 
-let data t f =
+let blit_in t f ~src ~src_off ~dst_off ~len =
   check t f;
-  t.frames.(f)
+  Bytes.blit src src_off t.frames.(f) dst_off len
 
-let read t f ~off ~len =
+let blit_out t f ~src_off ~dst ~dst_off ~len =
   check t f;
-  Bytes.sub t.frames.(f) off len
-
-let write t f ~off b =
-  check t f;
-  Bytes.blit b 0 t.frames.(f) off (Bytes.length b)
+  Bytes.blit t.frames.(f) src_off dst dst_off len
 
 let fill t f c =
   check t f;

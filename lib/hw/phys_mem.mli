@@ -2,7 +2,9 @@
 
     Each frame carries the hardware reference and modify bits that the
     paper's resident-page structures collect from the machine-dependent
-    layer (§5.3). The VM system treats frame numbers as opaque. *)
+    layer (§5.3). The VM system treats frame numbers as opaque, and
+    frame contents move only through the checked copies below: no
+    frame's buffer escapes this module. *)
 
 type t
 type frame = int
@@ -23,12 +25,15 @@ val free : t -> frame -> unit
 (** Return a frame; it is zeroed and its ref/mod bits cleared. Raises
     [Invalid_argument] if the frame is already free. *)
 
-val data : t -> frame -> bytes
-(** The frame's backing store, length [page_size]. Mutating it mutates
-    the frame (this is how the simulation moves page contents). *)
+val blit_in : t -> frame -> src:bytes -> src_off:int -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes of [src] from [src_off] into the frame at
+    [dst_off]. Raises [Invalid_argument] on an unallocated frame or a
+    range outside either buffer. *)
 
-val read : t -> frame -> off:int -> len:int -> bytes
-val write : t -> frame -> off:int -> bytes -> unit
+val blit_out : t -> frame -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes of the frame from [src_off] into [dst] at
+    [dst_off]; checked like {!blit_in}. *)
+
 val fill : t -> frame -> char -> unit
 
 val copy : t -> src:frame -> dst:frame -> unit

@@ -47,29 +47,34 @@ let policy get =
     Rt.default_policy with
     Rt.p_read =
       (fun rt o ~request:_ ~page ~desired_access:_ ->
-        let t = get () in
         let ps = Rt.page_size rt in
-        match Hashtbl.find_opt o.Rt.o_data.blocks (page * ps) with
-        | Some block ->
-          let data = Disk.read t.disk ~block in
-          Rt.Data (Bytes.sub data 0 (min ps (Bytes.length data)))
-        | None ->
+        if Hashtbl.mem o.Rt.o_data.blocks (page * ps) then
+          Rt.Data (min ps (Disk.block_size (get ()).disk))
+        else
           (* Never paged out: the kernel zero-fills. *)
           Rt.Unavailable);
+    p_read_into =
+      (fun rt o ~page ~dst ~dst_off ~len ->
+        match Hashtbl.find_opt o.Rt.o_data.blocks (page * Rt.page_size rt) with
+        | Some block -> Disk.read_into (get ()).disk ~block ~src_off:0 ~dst ~dst_off ~len
+        | None ->
+          (* Released while the run was being read: the object is dead
+             and so is the reply's destination. *)
+          Bytes.fill dst dst_off len '\000');
     p_write =
-      (fun rt o ~page ~data ->
+      (fun rt o ~page ~data ~off ~len ->
         let t = get () in
-        let off = page * Rt.page_size rt in
+        let key = page * Rt.page_size rt in
         let block =
-          match Hashtbl.find_opt o.Rt.o_data.blocks off with
+          match Hashtbl.find_opt o.Rt.o_data.blocks key with
           | Some b -> b
           | None ->
             let b = alloc_block t in
-            Hashtbl.replace o.Rt.o_data.blocks off b;
+            Hashtbl.replace o.Rt.o_data.blocks key b;
             t.stored <- t.stored + 1;
             b
         in
-        Disk.write t.disk ~block data);
+        Disk.write_from t.disk ~block ~src:data ~src_off:off ~len);
     p_death = (fun _ o _ -> release_blocks (get ()) o);
   }
 
@@ -167,7 +172,7 @@ let start kctx ~disk =
             let npages = max 1 ((Bytes.length data + ps - 1) / ps) in
             for i = 0 to npages - 1 do
               let len = min ps (Bytes.length data - (i * ps)) in
-              Disk.write t.disk ~block:scratch_block (Bytes.sub data (i * ps) len)
+              Disk.write_from t.disk ~block:scratch_block ~src:data ~src_off:(i * ps) ~len
             done));
   Engine.spawn kctx.Kctx.engine ~name:"default-pager" (fun () ->
       let rec loop () =

@@ -230,27 +230,32 @@ let policy get =
         let bs = Fs_layout.block_size t.fs in
         let first = page * ps / bs in
         let last = ((page * ps) + ps - 1) / bs in
+        (* Probe each block, paying its read; the data itself is read
+           again once the run is known. *)
         let any_stored = ref false in
         for i = first to last do
-          if Fs_layout.read_block t.fs seg.sg_name ~index:i <> None then any_stored := true
+          if Fs_layout.read_block_into t.fs seg.sg_name ~index:i ~src_off:0 ~dst:Bytes.empty
+               ~dst_off:0 ~len:0
+          then any_stored := true
         done;
-        if not !any_stored then Rt.Unavailable (* never written: zero-fill *)
-        else
-          Rt.Data
-            (Rt.Blocks.read_range ~block_size:bs
-               ~read:(fun ~index -> Fs_layout.read_block t.fs seg.sg_name ~index)
-               ~offset:(page * ps) ~len:ps));
+        if not !any_stored then Rt.Unavailable (* never written: zero-fill *) else Rt.Data ps);
+    p_read_into =
+      (fun rt o ~page ~dst ~dst_off ~len ->
+        let t = get () in
+        Rt.Blocks.read_into ~block_size:(Fs_layout.block_size t.fs)
+          ~read:(Fs_layout.read_block_into t.fs o.Rt.o_data.sg_name)
+          ~offset:(page * Rt.page_size rt) ~dst ~dst_off ~len);
     p_prepare_write =
       (fun _ o ~offset ~data -> prepare_write (get ()) o.Rt.o_data ~offset ~data);
     p_write =
-      (fun rt o ~page ~data ->
+      (fun rt o ~page ~data ~off ~len ->
         let t = get () in
-        if Bytes.length data > 0 then
+        if len > 0 then
           Rt.Blocks.write_range
             ~block_size:(Fs_layout.block_size t.fs)
-            ~read:(fun ~index -> Fs_layout.read_block t.fs o.Rt.o_data.sg_name ~index)
-            ~write:(fun ~index b -> Fs_layout.write_block t.fs o.Rt.o_data.sg_name ~index b)
-            ~offset:(page * Rt.page_size rt) ~data);
+            ~read:(Fs_layout.read_block_into t.fs o.Rt.o_data.sg_name)
+            ~write:(Fs_layout.write_block_from t.fs o.Rt.o_data.sg_name)
+            ~offset:(page * Rt.page_size rt) ~data ~data_off:off ~len);
   }
 
 (* --- transactions ------------------------------------------------------- *)
@@ -260,9 +265,9 @@ let policy get =
 let apply_to_disk t ~segment ~offset data =
   Rt.Blocks.write_range
     ~block_size:(Fs_layout.block_size t.fs)
-    ~read:(fun ~index -> Fs_layout.read_block t.fs segment ~index)
-    ~write:(fun ~index b -> Fs_layout.write_block t.fs segment ~index b)
-    ~offset ~data
+    ~read:(Fs_layout.read_block_into t.fs segment)
+    ~write:(Fs_layout.write_block_from t.fs segment)
+    ~offset ~data ~data_off:0 ~len:(Bytes.length data)
 
 (* Undo through the server's own mapping so every cached copy sees it;
    §6.1's advice applies — this runs on a worker thread while the
@@ -469,7 +474,7 @@ let service_port t = t.service
 let segment_bytes t name ~off ~len =
   Rt.Blocks.read_range
     ~block_size:(Fs_layout.block_size t.fs)
-    ~read:(fun ~index -> Fs_layout.read_block t.fs name ~index)
+    ~read:(Fs_layout.read_block_into t.fs name)
     ~offset:off ~len
 
 module Client = struct

@@ -58,17 +58,20 @@ let policy =
         let br = o.Rt.o_data in
         let ps = Rt.page_size rt in
         let off = page * ps in
-        if off >= br.br_size then Rt.Unavailable
-        else begin
-          let len = min ps (br.br_size - off) in
-          match
-            Access.read_bytes
-              (Task.kernel br.br_src).Mach_kernel.Ktypes.k_kctx (Task.map br.br_src)
-              ~addr:(br.br_base + off) ~len ()
-          with
-          | Ok data -> Rt.Data data
-          | Error _ -> Rt.Unavailable
-        end);
+        if off >= br.br_size then Rt.Unavailable else Rt.Data (min ps (br.br_size - off)));
+    p_read_into =
+      (fun rt o ~page ~dst ~dst_off ~len ->
+        let br = o.Rt.o_data in
+        match
+          Access.read_into
+            (Task.kernel br.br_src).Mach_kernel.Ktypes.k_kctx (Task.map br.br_src)
+            ~addr:(br.br_base + (page * Rt.page_size rt)) ~dst ~dst_off ~len ()
+        with
+        | Ok () -> ()
+        | Error _ ->
+          (* A source page that can no longer be read arrives as zeroes,
+             as the kernel's zero fill would have left it. *)
+          Bytes.fill dst dst_off len '\000');
   }
 
 let start kernel ?(name = "migration-manager") () =

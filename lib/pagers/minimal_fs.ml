@@ -47,34 +47,33 @@ let policy get ~enable_cache =
        of the Â§9 claim (ablatable via [enable_cache]). *)
     Rt.p_may_cache = (if enable_cache then Some true else None);
     p_read =
-      (fun rt o ~request:_ ~page ~desired_access:_ ->
+      (fun rt o ~request:_ ~page:_ ~desired_access:_ ->
         let t = get () in
         let file = o.Rt.o_data in
-        if not (Fs_layout.exists t.fs file.f_name) then Rt.Unavailable
-        else
-          let ps = Rt.page_size rt in
-          Rt.Data
-            (Rt.Blocks.read_range
-               ~block_size:(Fs_layout.block_size t.fs)
-               ~read:(fun ~index -> Fs_layout.read_block t.fs file.f_name ~index)
-               ~offset:(page * ps) ~len:ps))
+        if Fs_layout.exists t.fs file.f_name then Rt.Data (Rt.page_size rt) else Rt.Unavailable)
     (* Past-EOF blocks read as zeroes; a missing file is unavailable for
        the whole range (the runtime coalesces the holes). *);
+    p_read_into =
+      (fun rt o ~page ~dst ~dst_off ~len ->
+        let t = get () in
+        Rt.Blocks.read_into ~block_size:(Fs_layout.block_size t.fs)
+          ~read:(Fs_layout.read_block_into t.fs o.Rt.o_data.f_name)
+          ~offset:(page * Rt.page_size rt) ~dst ~dst_off ~len);
     p_write =
-      (fun rt o ~page ~data ->
+      (fun rt o ~page ~data ~off ~len ->
         (* Pageout of a directly-mapped file (footnote 7 mappings):
            persist the dirty page, merging partial trailing blocks over
            what is stored. Without this, paged-out file modifications
            would silently vanish from the cache-object lifecycle. *)
         let t = get () in
         let file = o.Rt.o_data in
-        if Bytes.length data > 0 then
+        if len > 0 then
           try
             Rt.Blocks.write_range
               ~block_size:(Fs_layout.block_size t.fs)
-              ~read:(fun ~index -> Fs_layout.read_block t.fs file.f_name ~index)
-              ~write:(fun ~index b -> Fs_layout.write_block t.fs file.f_name ~index b)
-              ~offset:(page * Rt.page_size rt) ~data
+              ~read:(Fs_layout.read_block_into t.fs file.f_name)
+              ~write:(Fs_layout.write_block_from t.fs file.f_name)
+              ~offset:(page * Rt.page_size rt) ~data ~data_off:off ~len
           with Fs_layout.Fs_error _ -> ());
   }
 

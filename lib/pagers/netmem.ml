@@ -25,6 +25,9 @@ and transition = {
   queued : grant Queue.t;
 }
 
+(* [data] is sent by reference in every data_provided, so a buffer is
+   immutable once it exists: an update replaces it ({!updated}) and a
+   reply still on the wire keeps the bytes it was sent with. *)
 type page_rec = { mutable data : bytes; mutable state : state }
 
 type region = {
@@ -50,6 +53,13 @@ let region_exn t port =
 
 (* --- protocol actions --------------------------------------------------- *)
 
+(* [old] with [len] bytes of [src] from [src_off] written at [dst_off],
+   as a new buffer. *)
+let updated old ~src ~src_off ~dst_off ~len =
+  let fresh = Bytes.copy old in
+  Bytes.blit src src_off fresh dst_off len;
+  fresh
+
 let flush t page_idx ~request =
   t.invalidations <- t.invalidations + 1;
   Rt.flush_request t.rt ~request ~offset:(page_idx * t.page_size) ~length:t.page_size
@@ -59,12 +69,12 @@ let execute_grant t page page_idx = function
     if g_write then begin
       t.grants <- t.grants + 1;
       Rt.data_provided t.rt ~request:g_request ~offset:(page_idx * t.page_size)
-        ~data:(Bytes.copy page.data) ~lock_value:Prot.none;
+        ~data:page.data ~lock_value:Prot.none;
       page.state <- Writer g_request
     end
     else begin
       Rt.data_provided t.rt ~request:g_request ~offset:(page_idx * t.page_size)
-        ~data:(Bytes.copy page.data) ~lock_value:Prot.write;
+        ~data:page.data ~lock_value:Prot.write;
       page.state <- Readers [ g_request ]
     end
   | Unlock { g_request } ->
@@ -94,14 +104,14 @@ let rec handle_request t region page_idx ~request ~want_write ~has_copy =
     if not want_write then begin
       if not (List.exists (same_port request) rs) then begin
         Rt.data_provided t.rt ~request ~offset:(page_idx * t.page_size)
-          ~data:(Bytes.copy page.data) ~lock_value:Prot.write;
+          ~data:page.data ~lock_value:Prot.write;
         page.state <- Readers (request :: rs)
       end
       else
         (* The kernel re-requested a page it holds (it dropped its copy
            without telling us): just provide again. *)
         Rt.data_provided t.rt ~request ~offset:(page_idx * t.page_size)
-          ~data:(Bytes.copy page.data) ~lock_value:Prot.write
+          ~data:page.data ~lock_value:Prot.write
     end
     else begin
       let others = List.filter (fun r -> not (same_port request r)) rs in
@@ -201,12 +211,13 @@ let policy get =
             ~want_write:(Prot.can_write desired_access) ~has_copy:true;
         Rt.Defer_unlock);
     p_write =
-      (fun _ o ~page:page_idx ~data ->
+      (fun _ o ~page:page_idx ~data ~off ~len ->
         let region = o.Rt.o_data in
-        if page_idx < Array.length region.rg_pages && Bytes.length data > 0 then begin
+        if page_idx < Array.length region.rg_pages && len > 0 then begin
           let page = region.rg_pages.(page_idx) in
-          let len = min (Bytes.length data) (Bytes.length page.data) in
-          Bytes.blit data 0 page.data 0 len
+          page.data <-
+            updated page.data ~src:data ~src_off:off ~dst_off:0
+              ~len:(min len (Bytes.length page.data))
         end);
     p_lock_completed =
       (fun _ o ~request ~offset ~length ->
@@ -278,7 +289,7 @@ let write_initial t ~region ~offset data =
     let off = offset + !pos in
     let page = r.rg_pages.(off / t.page_size) in
     let in_page = min (Bytes.length data - !pos) (t.page_size - (off mod t.page_size)) in
-    Bytes.blit data !pos page.data (off mod t.page_size) in_page;
+    page.data <- updated page.data ~src:data ~src_off:!pos ~dst_off:(off mod t.page_size) ~len:in_page;
     pos := !pos + in_page
   done
 

@@ -35,25 +35,30 @@ let touch kctx map ~addr ~write ?policy () =
     in
     go 0
 
-let read_bytes kctx map ~addr ~len ?policy () =
+let read_into kctx map ~addr ~dst ~dst_off ~len ?policy () =
   let ps = kctx.Kctx.page_size in
-  let out = Bytes.create len in
   let rec go pos =
-    if pos >= len then Ok out
+    if pos >= len then Ok ()
     else
       let a = addr + pos in
       let in_page = min (len - pos) (ps - (a land (ps - 1))) in
       match touch kctx map ~addr:a ~write:false ?policy () with
       | Error e -> Error e
       | Ok frame ->
-        let chunk = Phys_mem.read kctx.Kctx.mem frame ~off:(a land (ps - 1)) ~len:in_page in
-        Bytes.blit chunk 0 out pos in_page;
+        Phys_mem.blit_out kctx.Kctx.mem frame ~src_off:(a land (ps - 1)) ~dst
+          ~dst_off:(dst_off + pos) ~len:in_page;
         (* Whole-chunk access time beyond the first word. *)
         Kctx.charge kctx
           (Machine.access_us kctx.Kctx.params ~remote:false ~words:(max 0 ((in_page / 8) - 1)));
         go (pos + in_page)
   in
-  if len = 0 then Ok out else go 0
+  go 0
+
+let read_bytes kctx map ~addr ~len ?policy () =
+  let out = Bytes.create len in
+  match read_into kctx map ~addr ~dst:out ~dst_off:0 ~len ?policy () with
+  | Ok () -> Ok out
+  | Error e -> Error e
 
 let write_bytes kctx map ~addr data ?policy () =
   let ps = kctx.Kctx.page_size in
@@ -66,7 +71,8 @@ let write_bytes kctx map ~addr data ?policy () =
       match touch kctx map ~addr:a ~write:true ?policy () with
       | Error e -> Error e
       | Ok frame ->
-        Phys_mem.write kctx.Kctx.mem frame ~off:(a land (ps - 1)) (Bytes.sub data pos in_page);
+        Phys_mem.blit_in kctx.Kctx.mem frame ~src:data ~src_off:pos ~dst_off:(a land (ps - 1))
+          ~len:in_page;
         Kctx.charge kctx
           (Machine.access_us kctx.Kctx.params ~remote:false ~words:(max 0 ((in_page / 8) - 1)));
         go (pos + in_page)

@@ -21,6 +21,19 @@ val touch :
 (** One word access at [addr]: returns the frame backing the page,
     after any faults resolve. Charges one local memory access. *)
 
+val read_into :
+  Kctx.t ->
+  Vm_map.t ->
+  addr:int ->
+  dst:bytes ->
+  dst_off:int ->
+  len:int ->
+  ?policy:Fault.policy ->
+  unit ->
+  (unit, error) result
+(** Copy [len] bytes out of the address space into [dst] at [dst_off]
+    (faulting pages in): one copy, frame to [dst], per page. *)
+
 val read_bytes :
   Kctx.t ->
   Vm_map.t ->

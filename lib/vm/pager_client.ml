@@ -331,12 +331,22 @@ let ship_run kctx obj ~offset ~data ~dispose ~pages ~frames =
        (Pager_iface.Data_write { memory_object = p.memory_object; offset; data; write_id })
        ~dest:p.memory_object)
 
+(* Copy a run's frames into one message buffer: the single copy across
+   the kernel → manager boundary. *)
+let snapshot_run kctx pages n =
+  let ps = kctx.Kctx.page_size in
+  let data = Bytes.create (n * ps) in
+  List.iteri
+    (fun i page ->
+      Phys_mem.blit_out kctx.Kctx.mem page.frame ~src_off:0 ~dst:data ~dst_off:(i * ps) ~len:ps)
+    pages;
+  data
+
 (* Launder a run of adjacent dirty pages: keep them resident and
    busy-cleaning until the manager's release. [pages] must be non-empty,
    same-object, offset-sorted, offset-adjacent, non-busy. *)
 let write_run kctx pages ~dispose =
   let obj = (List.hd pages).p_obj in
-  let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
   let n = List.length pages in
   Metrics.add stats.s_pageouts n;
@@ -351,10 +361,7 @@ let write_run kctx pages ~dispose =
   (* Invalidate mappings (this may charge map-op time and block — safe
      now that the pages are busy), then snapshot the run contents. *)
   List.iter (fun page -> Vm_page.remove_all_mappings kctx page) pages;
-  let data = Bytes.create (n * ps) in
-  List.iteri
-    (fun i page -> Bytes.blit (Phys_mem.data kctx.Kctx.mem page.frame) 0 data (i * ps) ps)
-    pages;
+  let data = snapshot_run kctx pages n in
   ship_run kctx obj ~offset:(List.hd pages).p_offset ~data ~dispose ~pages ~frames:[]
 
 let page_out kctx page ~flush =
@@ -366,7 +373,6 @@ let page_out kctx page ~flush =
    holding; release/rescue returns the frames later. *)
 let write_run_detached kctx pages =
   let obj = (List.hd pages).p_obj in
-  let ps = kctx.Kctx.page_size in
   let stats = kctx.Kctx.stats in
   let n = List.length pages in
   Metrics.add stats.s_pageouts n;
@@ -379,10 +385,7 @@ let write_run_detached kctx pages =
       Hashtbl.remove obj.obj_pages page.p_offset)
     pages;
   List.iter (fun page -> Vm_page.remove_all_mappings kctx page) pages;
-  let data = Bytes.create (n * ps) in
-  List.iteri
-    (fun i page -> Bytes.blit (Phys_mem.data kctx.Kctx.mem page.frame) 0 data (i * ps) ps)
-    pages;
+  let data = snapshot_run kctx pages n in
   let frames = List.map (fun page -> page.frame) pages in
   ship_run kctx obj ~offset ~data ~dispose:Dispose_free ~pages:[] ~frames
 
@@ -445,10 +448,9 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
   let whole_pages = Bytes.length data / ps in
   for i = 0 to whole_pages - 1 do
     let off = offset + (i * ps) in
-    let chunk = Bytes.sub data (i * ps) ps in
     match Vm_page.lookup obj ~offset:off with
     | Some page when page.absent ->
-      Phys_mem.write kctx.Kctx.mem page.frame ~off:0 chunk;
+      Phys_mem.blit_in kctx.Kctx.mem page.frame ~src:data ~src_off:(i * ps) ~dst_off:0 ~len:ps;
       page.absent <- false;
       page.p_error <- false;
       page.cluster_spec <- false;
@@ -470,7 +472,7 @@ let fill_provided kctx obj ~offset ~data ~lock_value =
       match Kctx.try_alloc_frame kctx ~privileged:false with
       | Some frame ->
         let page = Vm_page.insert kctx obj ~offset:off ~frame ~busy:false ~absent:false in
-        Phys_mem.write kctx.Kctx.mem frame ~off:0 chunk;
+        Phys_mem.blit_in kctx.Kctx.mem frame ~src:data ~src_off:(i * ps) ~dst_off:0 ~len:ps;
         page.page_lock <- lock_value;
         Metrics.incr stats.s_pageins;
         Page_queues.activate kctx.Kctx.queues page

@@ -63,10 +63,13 @@ type 'o obj = {
   o_data : 'o;
 }
 
-(** Per-page answer from a policy's read callback. [Defer] means the
-    policy replied (or queued a reply) itself — consistency managers
-    like netmem grant pages on their own schedule. *)
-type page_reply = Data of bytes | Unavailable | Defer
+(** Per-page answer from a policy's read callback. [Data len] promises
+    [len] bytes — a whole page, or a trailing partial at end-of-object —
+    that [p_read_into] will produce once the run holding the page is
+    known and its buffer allocated. [Defer] means the policy replied (or
+    queued a reply) itself — consistency managers like netmem grant
+    pages on their own schedule. *)
+type page_reply = Data of int | Unavailable | Defer
 
 (** Per-page answer to an unlock: lift the lock, impose a different
     one, or let the policy resolve it asynchronously. *)
@@ -83,10 +86,15 @@ type 'o t = {
 
 and 'o policy = {
   p_read : 'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> page_reply;
-      (** Produce one page (index in pages, not bytes). Chunks must be
-          page-sized except a trailing partial at end-of-object. *)
-  p_write : 'o t -> 'o obj -> page:int -> data:bytes -> unit;
-      (** Persist one page of a data_write run. *)
+      (** Classify one page (index in pages, not bytes). *)
+  p_read_into : 'o t -> 'o obj -> page:int -> dst:bytes -> dst_off:int -> len:int -> unit;
+      (** Produce the [len] bytes promised by [Data len] straight into the
+          run buffer at [dst_off], zeroes included: the buffer is not
+          cleared first. *)
+  p_write : 'o t -> 'o obj -> page:int -> data:bytes -> off:int -> len:int -> unit;
+      (** Persist one page of a data_write run: the [len] bytes of [data]
+          at [off]. The run buffer is the kernel's message; a policy that
+          keeps the bytes copies them. *)
   p_prepare_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
       (** Run once before the per-page writes of a data_write — e.g.
           camelot's single WAL force for the whole run. *)
@@ -106,7 +114,8 @@ and 'o policy = {
 let default_policy =
   {
     p_read = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Unavailable);
-    p_write = (fun _ _ ~page:_ ~data:_ -> ());
+    p_read_into = (fun _ _ ~page:_ ~dst ~dst_off ~len -> Bytes.fill dst dst_off len '\000');
+    p_write = (fun _ _ ~page:_ ~data:_ ~off:_ ~len:_ -> ());
     p_prepare_write = (fun _ _ ~offset:_ ~data:_ -> ());
     p_unlock = (fun _ _ ~request:_ ~page:_ ~desired_access:_ -> Grant);
     p_reshape = (fun _ _ ~first ~npages -> (first, npages));
@@ -204,10 +213,12 @@ let handle_init t ~memory_object ~request =
     t.rt_policy.p_init t o ~request
 
 (* Walk the (reshaped) range page by page, coalescing adjacent [Data]
-   chunks into one data_provided and adjacent holes into one
+   pages into one data_provided and adjacent holes into one
    data_unavailable — reply traffic stays proportional to runs, not
    pages. A sub-page chunk can only be a trailing partial, so it closes
-   its run. [Defer] flushes both: the policy owns that page's reply. *)
+   its run. [Defer] flushes both: the policy owns that page's reply.
+   A run is read only once it is closed, into one buffer of exactly its
+   length: that buffer is the message the kernel copies frames from. *)
 let handle_data_request t ~memory_object ~request ~offset ~length ~desired_access =
   match find t memory_object with
   | None -> ()
@@ -218,16 +229,19 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
     let first, npages =
       t.rt_policy.p_reshape t o ~first:(offset / ps) ~npages:(max 1 ((length + ps - 1) / ps))
     in
-    let run = ref [] and run_start = ref 0 in
+    let run_start = ref 0 and run_pages = ref 0 and run_len = ref 0 in
     let hole_start = ref 0 and hole_pages = ref 0 in
     let flush_run () =
-      match !run with
-      | [] -> ()
-      | chunks ->
-        data_provided t ~request ~offset:(!run_start * ps)
-          ~data:(Bytes.concat Bytes.empty (List.rev chunks))
-          ~lock_value:Prot.none;
-        run := []
+      if !run_pages > 0 then begin
+        let data = Bytes.create !run_len in
+        for i = 0 to !run_pages - 1 do
+          t.rt_policy.p_read_into t o ~page:(!run_start + i) ~dst:data ~dst_off:(i * ps)
+            ~len:(min ps (!run_len - (i * ps)))
+        done;
+        run_pages := 0;
+        run_len := 0;
+        data_provided t ~request ~offset:(!run_start * ps) ~data ~lock_value:Prot.none
+      end
     in
     let flush_hole () =
       if !hole_pages > 0 then begin
@@ -238,11 +252,12 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
     for i = 0 to npages - 1 do
       let page = first + i in
       match t.rt_policy.p_read t o ~request ~page ~desired_access with
-      | Data chunk ->
+      | Data len ->
         flush_hole ();
-        if !run = [] then run_start := page;
-        run := chunk :: !run;
-        if Bytes.length chunk < ps then flush_run ()
+        if !run_pages = 0 then run_start := page;
+        incr run_pages;
+        run_len := !run_len + len;
+        if len < ps then flush_run ()
       | Unavailable ->
         flush_run ();
         if !hole_pages = 0 then hole_start := page;
@@ -256,7 +271,8 @@ let handle_data_request t ~memory_object ~request ~offset ~length ~desired_acces
     o.o_in_flight <- max 0 (o.o_in_flight - 1)
 
 (* A write may carry a whole run of adjacent pages: prepare once (WAL
-   force and the like), store per page, release once. An unknown object
+   force and the like), store per page, release once. Each page reaches
+   the policy as a slice of the kernel's run buffer. An unknown object
    (terminated while the write was in flight) still releases — the data
    is dead, but the kernel's holding frames must come back. *)
 let handle_data_write t ~memory_object ~offset ~data ~release =
@@ -269,9 +285,8 @@ let handle_data_write t ~memory_object ~offset ~data ~release =
     let ps = t.rt_page_size in
     let npages = max 1 ((Bytes.length data + ps - 1) / ps) in
     for i = 0 to npages - 1 do
-      let len = min ps (Bytes.length data - (i * ps)) in
-      let chunk = if len <= 0 then Bytes.empty else Bytes.sub data (i * ps) len in
-      t.rt_policy.p_write t o ~page:((offset / ps) + i) ~data:chunk
+      let len = max 0 (min ps (Bytes.length data - (i * ps))) in
+      t.rt_policy.p_write t o ~page:((offset / ps) + i) ~data ~off:(i * ps) ~len
     done;
     Metrics.add t.rt_stats.Stats.s_pages_written npages;
     o.o_in_flight <- max 0 (o.o_in_flight - 1));
@@ -356,27 +371,30 @@ module Blocks = struct
       pos := !pos + span
     done
 
-  (* Assemble [len] bytes starting at [offset]; blocks [read] does not
-     have stay zero. *)
-  let read_range ~block_size ~read ~offset ~len =
-    let out = Bytes.make len '\000' in
+  (* Fill [len] bytes of [dst] at [dst_off] from the bytes at [offset].
+     [read ~index ~src_off ~dst ~dst_off ~len] copies one span of a block
+     and answers [false] when it has no such block; that span reads as
+     zeroes. *)
+  let read_into ~block_size ~read ~offset ~dst ~dst_off ~len =
     iter_spans ~block_size ~offset ~len (fun ~index ~block_off ~buf_off ~len ->
-        match read ~index with
-        | Some b -> Bytes.blit b block_off out buf_off len
-        | None -> ());
+        if not (read ~index ~src_off:block_off ~dst ~dst_off:(dst_off + buf_off) ~len) then
+          Bytes.fill dst (dst_off + buf_off) len '\000')
+
+  let read_range ~block_size ~read ~offset ~len =
+    let out = Bytes.create len in
+    read_into ~block_size ~read ~offset ~dst:out ~dst_off:0 ~len;
     out
 
-  (* Write [data] at [offset]; partial spans merge over what is stored
-     (or zeroes) so neighbors within the block survive. *)
-  let write_range ~block_size ~read ~write ~offset ~data =
-    iter_spans ~block_size ~offset ~len:(Bytes.length data)
-      (fun ~index ~block_off ~buf_off ~len ->
-        if len = block_size then write ~index (Bytes.sub data buf_off len)
+  (* Write the [len] bytes of [data] at [data_off] to [offset]. Whole
+     blocks go straight from [data] to [write]; partial spans merge over
+     what is stored (or zeroes) so neighbors within the block survive. *)
+  let write_range ~block_size ~read ~write ~offset ~data ~data_off ~len =
+    iter_spans ~block_size ~offset ~len (fun ~index ~block_off ~buf_off ~len ->
+        if len = block_size then write ~index ~src:data ~src_off:(data_off + buf_off) ~len
         else begin
-          let b =
-            match read ~index with Some b -> b | None -> Bytes.make block_size '\000'
-          in
-          Bytes.blit data buf_off b block_off len;
-          write ~index b
+          let b = Bytes.create block_size in
+          read_into ~block_size ~read ~offset:(index * block_size) ~dst:b ~dst_off:0 ~len:block_size;
+          Bytes.blit data (data_off + buf_off) b block_off len;
+          write ~index ~src:b ~src_off:0 ~len:block_size
         end)
 end

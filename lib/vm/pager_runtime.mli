@@ -35,7 +35,7 @@ type 'o obj = {
   o_data : 'o;
 }
 
-type page_reply = Data of bytes | Unavailable | Defer
+type page_reply = Data of int | Unavailable | Defer
 type unlock_reply = Grant | Relock of Prot.t | Defer_unlock
 
 type 'o t
@@ -43,7 +43,8 @@ type 'o t
 and 'o policy = {
   p_read :
     'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> page_reply;
-  p_write : 'o t -> 'o obj -> page:int -> data:bytes -> unit;
+  p_read_into : 'o t -> 'o obj -> page:int -> dst:bytes -> dst_off:int -> len:int -> unit;
+  p_write : 'o t -> 'o obj -> page:int -> data:bytes -> off:int -> len:int -> unit;
   p_prepare_write : 'o t -> 'o obj -> offset:int -> data:bytes -> unit;
   p_unlock :
     'o t -> 'o obj -> request:Message.port -> page:int -> desired_access:Prot.t -> unlock_reply;
@@ -136,14 +137,36 @@ module Blocks : sig
     (index:int -> block_off:int -> buf_off:int -> len:int -> unit) ->
     unit
 
+  val read_into :
+    block_size:int ->
+    read:(index:int -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> bool) ->
+    offset:int ->
+    dst:bytes ->
+    dst_off:int ->
+    len:int ->
+    unit
+  (** Fill [len] bytes of [dst] at [dst_off] from the bytes at [offset].
+      [read] copies one span of one block and answers [false] when it
+      has no such block; that span reads as zeroes. *)
+
   val read_range :
-    block_size:int -> read:(index:int -> bytes option) -> offset:int -> len:int -> bytes
+    block_size:int ->
+    read:(index:int -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> bool) ->
+    offset:int ->
+    len:int ->
+    bytes
+  (** {!read_into} a fresh buffer. *)
 
   val write_range :
     block_size:int ->
-    read:(index:int -> bytes option) ->
-    write:(index:int -> bytes -> unit) ->
+    read:(index:int -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> bool) ->
+    write:(index:int -> src:bytes -> src_off:int -> len:int -> unit) ->
     offset:int ->
     data:bytes ->
+    data_off:int ->
+    len:int ->
     unit
+  (** Store the [len] bytes of [data] at [data_off] at [offset]: whole
+      blocks are written straight from [data], partial spans merge over
+      the stored block (read with [read], zeroes if absent). *)
 end

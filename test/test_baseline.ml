@@ -159,6 +159,69 @@ let test_layout_indirect_blocks () =
         check Alcotest.bool "contents" true (Bytes.equal b data)
       | None -> Alcotest.fail "indirect file lost")
 
+(* Shrinking a file past the direct blocks must clear the indirect
+   pointers it frees, or a regrow reuses blocks another file now owns
+   and a delete frees them from under it. *)
+let test_layout_shrink_past_direct () =
+  in_sim (fun eng ->
+      let disk = make_disk eng in
+      let fs = Fs_layout.format disk ~max_files:8 in
+      let blocks n c = Bytes.make (n * bs) c in
+      let contents fs name expected =
+        match Fs_layout.read_file fs name with
+        | Some b -> check Alcotest.bool (name ^ " intact") true (Bytes.equal b expected)
+        | None -> Alcotest.failf "%s lost" name
+      in
+      Fs_layout.write_file fs "a" (blocks 30 'a');
+      Fs_layout.write_file fs "a" (blocks 10 'a');
+      Fs_layout.write_file fs "b" (blocks 30 'b');
+      Fs_layout.write_file fs "a" (blocks 30 'A');
+      contents fs "b" (blocks 30 'b');
+      contents fs "a" (blocks 30 'A');
+      Fs_layout.delete fs "a";
+      Fs_layout.write_file fs "c" (blocks 30 'c');
+      contents fs "b" (blocks 30 'b');
+      contents fs "c" (blocks 30 'c');
+      contents (Fs_layout.mount disk) "b" (blocks 30 'b'))
+
+(* An indirect block left without pointers goes back to the free pool:
+   this disk has exactly 41 data blocks, so the second 30-block file
+   (plus its indirect block) fits beside the shrunk one only if the
+   first file's indirect block came back. *)
+let test_layout_shrink_frees_indirect () =
+  in_sim (fun eng ->
+      let disk = Disk.create eng ~name:"tight" ~blocks:44 ~block_size:bs () in
+      let fs = Fs_layout.format disk ~max_files:8 in
+      Fs_layout.write_file fs "a" (Bytes.make (30 * bs) 'a');
+      Fs_layout.write_file fs "a" (Bytes.make (10 * bs) 'a');
+      (match Fs_layout.write_file fs "b" (Bytes.make (30 * bs) 'b') with
+      | () -> ()
+      | exception Fs_layout.Fs_error e -> Alcotest.failf "second file: %s" e);
+      match Fs_layout.read_file fs "b" with
+      | Some b -> check Alcotest.bool "b intact" true (Bytes.equal b (Bytes.make (30 * bs) 'b'))
+      | None -> Alcotest.fail "b lost")
+
+(* The indirect pointers are decoded once per inode, not once per
+   lookup. *)
+let test_layout_lookup_allocates_nothing () =
+  in_sim (fun eng ->
+      let disk = make_disk eng in
+      let fs = Fs_layout.format disk ~max_files:8 in
+      Fs_layout.write_file fs "f" (Bytes.make (40 * bs) 'f');
+      let fs = Fs_layout.mount disk in
+      let first = Fs_layout.file_disk_block fs "f" ~index:25 in
+      check Alcotest.bool "block 25 allocated" true (first <> 0);
+      let calibrate = Gc.allocated_bytes () in
+      let overhead = Gc.allocated_bytes () -. calibrate in
+      let before = Gc.allocated_bytes () in
+      let sum = ref 0 in
+      for i = 1 to 10_000 do
+        sum := !sum + Fs_layout.file_disk_block fs "f" ~index:(20 + (i mod 20))
+      done;
+      check (Alcotest.float 0.0) "bytes allocated by 10^4 lookups" 0.0
+        (Gc.allocated_bytes () -. before -. overhead);
+      check Alcotest.bool "lookups found blocks" true (!sum > 0))
+
 (* Model-based property: a random sequence of whole-file writes, reads
    and deletes agrees with a Hashtbl model, including across a
    remount. *)
@@ -169,7 +232,13 @@ let fs_layout_model_prop =
     Gen.(
       oneof
         [
-          map2 (fun n size -> `Write (n, size mod 30000)) name_gen small_nat;
+          (* Small files and files either side of the 20 direct
+             blocks, so rewrites grow and shrink across the indirect
+             boundary. *)
+          map2
+            (fun n size -> `Write (n, size))
+            name_gen
+            (oneof [ int_bound (4 * bs); int_range (18 * bs) (30 * bs) ]);
           map (fun n -> `Read n) name_gen;
           map (fun n -> `Delete n) name_gen;
           pure `Remount;
@@ -237,6 +306,11 @@ let () =
           Alcotest.test_case "persistence across mount" `Quick test_layout_persistence;
           Alcotest.test_case "delete frees blocks" `Quick test_layout_delete_frees_blocks;
           Alcotest.test_case "indirect blocks" `Quick test_layout_indirect_blocks;
+          Alcotest.test_case "shrink past the direct blocks" `Quick test_layout_shrink_past_direct;
+          Alcotest.test_case "shrink frees an emptied indirect block" `Quick
+            test_layout_shrink_frees_indirect;
+          Alcotest.test_case "block lookups allocate nothing" `Quick
+            test_layout_lookup_allocates_nothing;
           QCheck_alcotest.to_alcotest fs_layout_model_prop;
         ] );
     ]

@@ -33,7 +33,10 @@ let add_page kctx obj ~offset tagchar =
   Page_queues.activate kctx.Kctx.queues p;
   p
 
-let frame_tag kctx (p : Vm_types.page) = Bytes.get (Phys_mem.data kctx.Kctx.mem p.Vm_types.frame) 0
+let frame_tag kctx (p : Vm_types.page) =
+  let b = Bytes.create 1 in
+  Phys_mem.blit_out kctx.Kctx.mem p.Vm_types.frame ~src_off:0 ~dst:b ~dst_off:0 ~len:1;
+  Bytes.get b 0
 
 (* Full system with the copy-engine toggles set; runs [f sys task] on a
    fresh task's thread and returns its result. *)

@@ -59,13 +59,14 @@ let test_phys_exhaustion () =
 let test_phys_zeroed_on_free () =
   let m = Phys_mem.create ~frames:2 ~page_size:4096 in
   let f = Option.get (Phys_mem.alloc m) in
-  Phys_mem.write m f ~off:0 (Bytes.of_string "dirty");
+  Phys_mem.blit_in m f ~src:(Bytes.of_string "dirty") ~src_off:0 ~dst_off:0 ~len:5;
   Phys_mem.free m f;
   let f2 = Option.get (Phys_mem.alloc m) in
   ignore f2;
   (* The freed frame comes back eventually; allocate the other one too. *)
   let f3 = Option.get (Phys_mem.alloc m) in
-  let data = Phys_mem.read m f3 ~off:0 ~len:5 in
+  let data = Bytes.make 5 'x' in
+  Phys_mem.blit_out m f3 ~src_off:0 ~dst:data ~dst_off:0 ~len:5;
   check Alcotest.string "zeroed" "\000\000\000\000\000" (Bytes.to_string data)
 
 let test_phys_double_free_rejected () =
@@ -79,14 +80,34 @@ let test_phys_copy_and_bits () =
   let m = Phys_mem.create ~frames:2 ~page_size:4096 in
   let a = Option.get (Phys_mem.alloc m) in
   let b = Option.get (Phys_mem.alloc m) in
-  Phys_mem.write m a ~off:100 (Bytes.of_string "payload");
+  Phys_mem.blit_in m a ~src:(Bytes.of_string "payload") ~src_off:0 ~dst_off:100 ~len:7;
   Phys_mem.copy m ~src:a ~dst:b;
-  check Alcotest.string "copied" "payload" (Bytes.to_string (Phys_mem.read m b ~off:100 ~len:7));
+  let out = Bytes.make 7 ' ' in
+  Phys_mem.blit_out m b ~src_off:100 ~dst:out ~dst_off:0 ~len:7;
+  check Alcotest.string "copied" "payload" (Bytes.to_string out);
   Alcotest.(check bool) "ref clear" false (Phys_mem.referenced m a);
   Phys_mem.set_referenced m a true;
   Phys_mem.set_modified m a true;
   Alcotest.(check bool) "ref set" true (Phys_mem.referenced m a);
   Alcotest.(check bool) "mod set" true (Phys_mem.modified m a)
+
+(* Slices move at both ends, and every blit checks the frame is
+   allocated before touching it. *)
+let test_phys_blit_slices () =
+  let m = Phys_mem.create ~frames:2 ~page_size:4096 in
+  let f = Option.get (Phys_mem.alloc m) in
+  Phys_mem.blit_in m f ~src:(Bytes.of_string "..abc..") ~src_off:2 ~dst_off:4090 ~len:3;
+  let out = Bytes.make 6 '-' in
+  Phys_mem.blit_out m f ~src_off:4089 ~dst:out ~dst_off:1 ~len:5;
+  check Alcotest.string "slice at the frame end" "-\000abc\000" (Bytes.to_string out);
+  (match Phys_mem.blit_in m f ~src:(Bytes.make 8 'x') ~src_off:0 ~dst_off:4090 ~len:8 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a blit past the frame end was accepted");
+  Phys_mem.free m f;
+  Alcotest.check_raises "blit_in on a free frame" (Invalid_argument "Phys_mem: frame not allocated")
+    (fun () -> Phys_mem.blit_in m f ~src:out ~src_off:0 ~dst_off:0 ~len:1);
+  Alcotest.check_raises "blit_out on a free frame" (Invalid_argument "Phys_mem: frame not allocated")
+    (fun () -> Phys_mem.blit_out m f ~src_off:0 ~dst:out ~dst_off:0 ~len:1)
 
 (* ---- pmap ----------------------------------------------------------------- *)
 
@@ -185,6 +206,34 @@ let test_disk_reattach_shares_bytes () =
     (Bytes.to_string (Bytes.sub (Disk.read_raw d2 ~block:1) 0 7));
   check Alcotest.int "stats reset" 0 (Disk.ops d2)
 
+(* The slice calls charge exactly what read/write charge, and reject a
+   bad range before the arm moves. *)
+let test_disk_slices () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"d5" ~blocks:4 ~block_size:512 ~seek_us:1000.0 ~transfer_us_per_byte:1.0 () in
+  let elapsed = ref 0.0 in
+  Engine.spawn eng (fun () ->
+      let t0 = Engine.now eng in
+      Disk.write_from d ~block:2 ~src:(Bytes.of_string "xxhello diskxx") ~src_off:2 ~len:10;
+      let out = Bytes.make 7 '-' in
+      Disk.read_into d ~block:2 ~src_off:6 ~dst:out ~dst_off:1 ~len:4;
+      elapsed := Engine.now eng -. t0;
+      check Alcotest.string "slice" "-disk--" (Bytes.to_string out);
+      Alcotest.check_raises "read past the block"
+        (Invalid_argument "Disk.read_into: range outside the block") (fun () ->
+          Disk.read_into d ~block:2 ~src_off:510 ~dst:out ~dst_off:0 ~len:4);
+      Alcotest.check_raises "write past the buffer"
+        (Invalid_argument "Disk.write_from: range outside the buffer") (fun () ->
+          Disk.write_from d ~block:2 ~src:out ~src_off:5 ~len:4));
+  Engine.run eng;
+  check (Alcotest.float 1e-6) "same charge as write + read" (1000.0 +. 10.0 +. 1000.0 +. 512.0)
+    !elapsed;
+  check Alcotest.int "rejected ranges are not counted" 2 (Disk.ops d);
+  Disk.write_raw_from d ~block:3 ~dst_off:100 ~src:(Bytes.of_string "meta") ~src_off:1 ~len:2;
+  check Alcotest.string "raw in-place update" "\000et\000"
+    (Bytes.sub_string (Disk.read_raw d ~block:3) 99 4);
+  check Alcotest.int "raw update uncharged" 2 (Disk.ops d)
+
 let test_disk_bounds () =
   let eng = Engine.create () in
   let d = Disk.create eng ~name:"d4" ~blocks:4 ~block_size:512 () in
@@ -281,6 +330,7 @@ let () =
           Alcotest.test_case "zeroed on free" `Quick test_phys_zeroed_on_free;
           Alcotest.test_case "double free rejected" `Quick test_phys_double_free_rejected;
           Alcotest.test_case "copy and ref/mod bits" `Quick test_phys_copy_and_bits;
+          Alcotest.test_case "checked blits" `Quick test_phys_blit_slices;
         ] );
       ( "pmap",
         [
@@ -296,6 +346,7 @@ let () =
           Alcotest.test_case "raw access uncharged" `Quick test_disk_raw_uncharged;
           Alcotest.test_case "reattach shares bytes" `Quick test_disk_reattach_shares_bytes;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
+          Alcotest.test_case "slices" `Quick test_disk_slices;
         ] );
       ( "net",
         [

@@ -183,6 +183,96 @@ let test_three_host_contention_storm () =
   Engine.run cluster.Kernel.c_engine;
   check Alcotest.int "all three hosts completed" 3 !finished
 
+(* data_provided carries the manager's page buffer by reference, so a
+   buffer that has been sent must never change: a provide still on the
+   (jittery) wire when write_initial or a data_write updates the page
+   installs the bytes it was sent with. *)
+let test_sent_payload_immutable () =
+  let chaos = Mach_sim.Chaos.of_spec "seed=5,reorder=1.0,jitter=2000" in
+  let cluster = Kernel.create_cluster ~hosts:2 ~chaos () in
+  let fill c = Bytes.make page c in
+  let finished = ref false in
+  Engine.spawn cluster.Kernel.c_engine ~name:"setup" (fun () ->
+      let nm = Netmem.start cluster.Kernel.c_kernels.(0) () in
+      let region = Netmem.create_region nm ~size:page in
+      Netmem.write_initial nm ~region ~offset:0 (fill 'a');
+      let readers () =
+        match Netmem.page_state nm ~region ~page:0 with `Readers n -> n | `Idle | `Writer -> 0
+      in
+      (* Run [update] the moment the manager has sent its next grant. *)
+      let after_grant ~readers_before update =
+        Engine.spawn cluster.Kernel.c_engine ~name:"updater" (fun () ->
+            while readers () <= readers_before do
+              Engine.sleep 1.0
+            done;
+            update ())
+      in
+      (* 1. A real kernel faults the page in; write_initial lands while
+            the provide is in flight. *)
+      let client = Task.create cluster.Kernel.c_kernels.(1) ~name:"client" () in
+      let read_done = ref false and updated_in_flight = ref false in
+      after_grant ~readers_before:0 (fun () ->
+          updated_in_flight := not !read_done;
+          Netmem.write_initial nm ~region ~offset:0 (fill 'b'));
+      ignore
+        (Thread.spawn client ~name:"client.main" (fun () ->
+             let addr =
+               Syscalls.vm_allocate_with_pager client ~size:page ~anywhere:true
+                 ~memory_object:region ~offset:0 ()
+             in
+             let got = read_str client ~addr ~len:page in
+             read_done := true;
+             check Alcotest.bool "write_initial landed while the provide was in flight" true
+               !updated_in_flight;
+             check Alcotest.string "kernel installed the bytes as sent" (Bytes.to_string (fill 'a')) got;
+             (* 2. A second kernel (a protocol driver) is granted the page;
+                   a data_write lands before it takes the reply. *)
+             let d = Task.create cluster.Kernel.c_kernels.(1) ~name:"driver" () in
+             let rq_name = Syscalls.port_allocate d ~backlog:16 () in
+             Syscalls.port_enable d rq_name;
+             let rq = Option.get (Syscalls.port_lookup d rq_name) in
+             let send ?reply call =
+               match Syscalls.msg_send d (Pager_iface.encode_k2m ~reply call ~dest:region) with
+               | Ok () -> ()
+               | Error _ -> Alcotest.fail "driver send failed"
+             in
+             send (Pager_iface.Init { memory_object = region; request = rq; name = rq });
+             after_grant ~readers_before:1 (fun () ->
+                 send ~reply:rq
+                   (Pager_iface.Data_write
+                      { memory_object = region; offset = 0; data = fill 'c'; write_id = 1 }));
+             send
+               (Pager_iface.Data_request
+                  {
+                    memory_object = region;
+                    request = rq;
+                    offset = 0;
+                    length = page;
+                    desired_access = Prot.read;
+                  });
+             let rec replies acc =
+               match Syscalls.msg_receive d ~from:(`Port rq_name) ~timeout:500_000.0 () with
+               | Ok msg -> replies (Pager_iface.decode_m2k msg :: acc)
+               | Error _ -> List.rev acc
+             in
+             let replies = replies [] in
+             (match
+                List.filter_map
+                  (function Pager_iface.Data_provided { data; _ } -> Some data | _ -> None)
+                  replies
+              with
+             | [ data ] ->
+               check Alcotest.string "driver got the bytes as sent" (Bytes.to_string (fill 'b'))
+                 (Bytes.to_string data)
+             | l -> Alcotest.failf "expected one data_provided, got %d" (List.length l));
+             check Alcotest.bool "data_write released" true
+               (List.exists (function Pager_iface.Release_write _ -> true | _ -> false) replies);
+             check Alcotest.string "manager kept the write" (Bytes.to_string (fill 'c'))
+               (Bytes.to_string (Netmem.read_authoritative nm ~region ~offset:0 ~len:page));
+             finished := true)));
+  Engine.run cluster.Kernel.c_engine;
+  check Alcotest.bool "scenario completed" true !finished
+
 let () =
   Alcotest.run "netmem"
     [
@@ -196,5 +286,6 @@ let () =
           Alcotest.test_case "dirty data written back on unmap" `Quick test_write_back_on_unmap;
           Alcotest.test_case "interleaved stress stays coherent" `Quick test_interleaved_stress;
           Alcotest.test_case "three-host contention storm" `Quick test_three_host_contention_storm;
+          Alcotest.test_case "sent payload is immutable" `Quick test_sent_payload_immutable;
         ] );
     ]

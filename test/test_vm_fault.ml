@@ -490,6 +490,89 @@ let test_bad_address_surfaces () =
       | Ok _ -> Alcotest.fail "unmapped read must fail"
       | Error e -> Alcotest.failf "wrong error: %a" Access.pp_error e)
 
+(* ---- copy budget: one copy per ownership boundary ---------------------- *)
+
+(* Words allocated by [f], minor and major heap alike: a page-sized
+   buffer goes straight to the major heap. *)
+let words_allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  ((Gc.allocated_bytes () -. before) /. 8.0, r)
+
+(* Memory access is free on this machine, so no scheduler work is
+   charged per page and what a call allocates is its data path alone. *)
+let free_access_config =
+  {
+    Kernel.default_config with
+    Kernel.params = Mach_hw.Machine.custom ~local_access_us:0.0 Mach_hw.Machine.Uma;
+  }
+
+let test_read_write_bytes_copy_once () =
+  (* Warm, page-straddling reads allocate their result and nothing per
+     page; writes allocate nothing per page. *)
+  with_system ~config:free_access_config (fun _sys task ->
+      let n = 8 in
+      let len = n * page in
+      let addr = Syscalls.vm_allocate task ~size:(len + page) ~anywhere:true () in
+      let data = Bytes.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let w_cold = Syscalls.write_bytes task ~addr:(addr + 100) data () in
+      check Alcotest.bool "cold write" true (Result.is_ok w_cold);
+      let words, r = words_allocated (fun () -> Syscalls.read_bytes task ~addr:(addr + 100) ~len ()) in
+      (match r with
+      | Ok b -> check Alcotest.bool "read back" true (Bytes.equal b data)
+      | Error e -> Alcotest.failf "read: %a" Access.pp_error e);
+      if words > float_of_int ((len / 8) + 64) then
+        Alcotest.failf "warm read_bytes over %d pages allocated %.0f words (limit %d)" n words
+          ((len / 8) + 64);
+      let words, r = words_allocated (fun () -> Syscalls.write_bytes task ~addr:(addr + 100) data ()) in
+      check Alcotest.bool "warm write" true (Result.is_ok r);
+      if words > 64.0 then
+        Alcotest.failf "warm write_bytes over %d pages allocated %.0f words (limit 64)" n words)
+
+let test_fill_provided_no_page_buffers () =
+  (* An n-page data_provided lands in n frames straight from the message
+     buffer: page structures only, no page-sized buffer per page. *)
+  with_system ~config:free_access_config (fun sys task ->
+      let n = 16 in
+      let mgr = Task.create sys.Kernel.kernel ~name:"quiet-mgr" () in
+      let request = ref None and data_requests = ref 0 in
+      let srv =
+        Mos.start mgr
+          {
+            Mos.no_callbacks with
+            Mos.on_init = (fun _ ~memory_object:_ ~request:r ~name:_ -> request := Some r);
+            Mos.on_data_request =
+              (fun _ ~memory_object:_ ~request:_ ~offset:_ ~length:_ ~desired_access:_ ->
+                incr data_requests);
+          }
+      in
+      let memory_object = Mos.create_memory_object srv () in
+      let addr =
+        Syscalls.vm_allocate_with_pager task ~size:(n * page) ~anywhere:true ~memory_object
+          ~offset:0 ()
+      in
+      while !request = None do
+        Engine.sleep 1_000.0
+      done;
+      let data = Bytes.init (n * page) (fun i -> Char.chr (65 + (i / page))) in
+      let msg =
+        Pager_iface.encode_m2k
+          (Pager_iface.Data_provided { offset = 0; data; lock_value = Prot.none })
+          ~request:(Option.get !request)
+      in
+      let kctx = sys.Kernel.kernel.Ktypes.k_kctx in
+      let words, () =
+        words_allocated (fun () -> Mach_vm.Pager_client.handle_manager_message kctx msg)
+      in
+      if words >= float_of_int (page / 8) then
+        Alcotest.failf "a %d-page provide allocated %.0f words, more than one page buffer" n words;
+      for i = 0 to n - 1 do
+        match Syscalls.read_bytes task ~addr:(addr + (i * page) + page - 1) ~len:1 () with
+        | Ok b -> check Alcotest.string (Printf.sprintf "page %d" i) (String.make 1 (Char.chr (65 + i))) (Bytes.to_string b)
+        | Error e -> Alcotest.failf "read %d: %a" i Access.pp_error e
+      done;
+      check Alcotest.int "every page came from the provide" 0 !data_requests)
+
 let () =
   Alcotest.run "vm_fault"
     [
@@ -527,5 +610,12 @@ let () =
             test_cluster_partial_provide_rerequest;
           Alcotest.test_case "zero-fill races multi-page provide" `Quick
             test_zero_fill_races_multi_page_provide;
+        ] );
+      ( "copy-budget",
+        [
+          Alcotest.test_case "read_bytes/write_bytes copy once" `Quick
+            test_read_write_bytes_copy_once;
+          Alcotest.test_case "fill_provided allocates no page buffers" `Quick
+            test_fill_provided_no_page_buffers;
         ] );
     ]

@@ -34,7 +34,10 @@ let add_page kctx obj ~offset tagchar =
   Page_queues.activate kctx.Kctx.queues p;
   p
 
-let frame_tag kctx (p : Vm_types.page) = Bytes.get (Phys_mem.data kctx.Kctx.mem p.Vm_types.frame) 0
+let frame_tag kctx (p : Vm_types.page) =
+  let b = Bytes.create 1 in
+  Phys_mem.blit_out kctx.Kctx.mem p.Vm_types.frame ~src_off:0 ~dst:b ~dst_off:0 ~len:1;
+  Bytes.get b 0
 
 let test_chain_lookup_with_offsets () =
   let kctx = make_kctx () in
