@@ -1,6 +1,12 @@
 module Engine = Mach_sim.Engine
 module Semaphore = Mach_sim.Semaphore
 
+(* The store is sparse: a block is [unwritten] (physically equal to
+   [Bytes.empty]) until its first write allocates it, and reads as
+   zeroes until then. Views made by [reattach] share the array, so a
+   block allocated through one view is seen through every other. *)
+let unwritten = Bytes.empty
+
 type t = {
   engine : Engine.t;
   name : string;
@@ -21,7 +27,7 @@ let create engine ~name ~blocks ~block_size ?(seek_us = 20_000.0) ?(transfer_us_
     engine;
     name;
     block_size;
-    store = Array.init blocks (fun _ -> Bytes.make block_size '\000');
+    store = Array.make blocks unwritten;
     seek_us;
     transfer_us_per_byte;
     arm = Semaphore.create 1;
@@ -50,6 +56,23 @@ let check t block =
   if block < 0 || block >= Array.length t.store then
     invalid_arg (Printf.sprintf "Disk %s: block %d out of range" t.name block)
 
+(* The block's bytes, allocating (zeroed) on first write. *)
+let writable t block =
+  let b = t.store.(block) in
+  if b != unwritten then b
+  else begin
+    let b = Bytes.make t.block_size '\000' in
+    t.store.(block) <- b;
+    b
+  end
+
+(* Copy [len] bytes of a block from [src_off]; unwritten blocks read as
+   zeroes. *)
+let copy_out t block ~src_off ~dst ~dst_off ~len =
+  let b = t.store.(block) in
+  if b == unwritten then Bytes.fill dst dst_off len '\000'
+  else Bytes.blit b src_off dst dst_off len
+
 let transfer t nbytes =
   Semaphore.with_permit t.arm (fun () ->
       Engine.sleep (t.seek_us +. (float_of_int nbytes *. t.transfer_us_per_byte)))
@@ -66,7 +89,7 @@ let read_into t ~block ~src_off ~dst ~dst_off ~len =
   transfer t t.block_size;
   t.reads <- t.reads + 1;
   t.bytes_read <- t.bytes_read + t.block_size;
-  Bytes.blit t.store.(block) src_off dst dst_off len
+  copy_out t block ~src_off ~dst ~dst_off ~len
 
 let read t ~block =
   let out = Bytes.create t.block_size in
@@ -79,18 +102,20 @@ let write_from t ~block ~src ~src_off ~len =
   transfer t len;
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + len;
-  Bytes.blit src src_off t.store.(block) 0 len
+  Bytes.blit src src_off (writable t block) 0 len
 
 let write t ~block data = write_from t ~block ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let read_raw t ~block =
   check t block;
-  Bytes.copy t.store.(block)
+  let out = Bytes.create t.block_size in
+  copy_out t block ~src_off:0 ~dst:out ~dst_off:0 ~len:t.block_size;
+  out
 
 let write_raw_from t ~block ~dst_off ~src ~src_off ~len =
   check t block;
   check_range t "write_raw" ~block_off:dst_off ~buf:src ~buf_off:src_off ~len;
-  Bytes.blit src src_off t.store.(block) dst_off len
+  Bytes.blit src src_off (writable t block) dst_off len
 
 let write_raw t ~block data =
   write_raw_from t ~block ~dst_off:0 ~src:data ~src_off:0 ~len:(Bytes.length data)

@@ -2,7 +2,11 @@
 
     A single request stream with a seek + per-byte transfer latency
     model; concurrent requests queue (FIFO). Operation and byte counters
-    feed the §9 "number of I/O operations" measurements. *)
+    feed the §9 "number of I/O operations" measurements.
+
+    The store is sparse: a block takes no host memory until its first
+    write, and a never-written block reads as zeroes through {!read},
+    {!read_into} and {!read_raw}. *)
 
 type t
 

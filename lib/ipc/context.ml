@@ -40,6 +40,7 @@ type chan_tx = {
   tx_dst : int;
   mutable tx_epoch : int;
   mutable tx_next : int;
+  mutable tx_base : int;  (* every seq below this is acked or shed *)
   tx_unacked : (int, packet) Hashtbl.t;
   mutable tx_strikes : int;
   mutable tx_timer_gen : int;  (* bumping this orphans any armed timer *)
@@ -170,6 +171,7 @@ let tx_chan t ~src ~dst =
         tx_dst = dst;
         tx_epoch = 1;
         tx_next = 1;
+        tx_base = 1;
         tx_unacked = Hashtbl.create 16;
         tx_strikes = 0;
         tx_timer_gen = 0;
@@ -214,13 +216,16 @@ let rec handle_ack t ~src ~dst ~epoch ~cum =
   | Some chan ->
     if epoch <> chan.tx_epoch then Metrics.incr t.cstats.c_stale_epoch
     else begin
+      (* Acks are cumulative: only seqs from [tx_base] up can still be
+         unacked, so an ack costs the packets it newly covers. *)
       let progress = ref false in
-      for seq = 1 to cum do
+      for seq = chan.tx_base to cum do
         if Hashtbl.mem chan.tx_unacked seq then begin
           Hashtbl.remove chan.tx_unacked seq;
           progress := true
         end
       done;
+      if cum >= chan.tx_base then chan.tx_base <- cum + 1;
       if !progress then begin
         chan.tx_strikes <- 0;
         (* The watchdog measures silence since the peer's last progress,
@@ -290,6 +295,7 @@ and arm_timer t chan =
              Subsequent sends fail fast with [`Unreachable]. *)
           chan.tx_down <- true;
           Hashtbl.reset chan.tx_unacked;
+          chan.tx_base <- chan.tx_next;
           Metrics.incr t.cstats.c_aborts
         end
         else begin
@@ -329,9 +335,15 @@ let remote_deliver t ~src ~dst ~bytes thunk =
 let chan_down t ~src ~dst =
   match Hashtbl.find_opt t.txs (src, dst) with Some c -> c.tx_down | None -> false
 
+let unacked t ~src ~dst =
+  match Hashtbl.find_opt t.txs (src, dst) with
+  | Some c -> Hashtbl.length c.tx_unacked
+  | None -> 0
+
 let reset_tx t chan =
   chan.tx_epoch <- chan.tx_epoch + 1;
   chan.tx_next <- 1;
+  chan.tx_base <- 1;
   Hashtbl.reset chan.tx_unacked;
   chan.tx_strikes <- 0;
   chan.tx_timer_gen <- chan.tx_timer_gen + 1;

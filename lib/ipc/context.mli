@@ -50,6 +50,10 @@ val remote_deliver :
 
 val chan_down : t -> src:int -> dst:int -> bool
 
+val unacked : t -> src:int -> dst:int -> int
+(** Packets sent on the (src,dst) channel and not yet acked (0 when
+    the channel does not exist). *)
+
 val reset_link : t -> int -> int -> unit
 (** Revive both directions of a link: bump the epoch, clear in-flight
     state, clear the down flag. Wired to [Chaos.on_heal]. *)

@@ -190,7 +190,7 @@ let charge_receive node msg =
     Metrics.incr node.node_stats.s_handoffs;
     if ticket >= 0 then (
       match node.node_sched with
-      | Some s -> Sched.claim_handoff s ~ticket ~name:(Engine.self_name ())
+      | Some s -> Sched.claim_handoff s ~ticket ~id:(Engine.self_id ())
       | None -> ())
   | None -> node_compute node node.node_params.Machine.context_switch_us
 

@@ -1,87 +1,178 @@
-type event = { time : float; seq : int; action : unit -> unit }
-
-(* Binary min-heap on (time, seq); seq breaks ties so runs are
-   deterministic. *)
+(* Binary min-heap on (time, seq) in three parallel arrays — unboxed
+   times, seqs, actions — so that a push or pop allocates nothing. seq
+   breaks ties: same-time events run in insertion order and runs are
+   deterministic. Keys are unique, so any correct heap pops the same
+   sequence. *)
 module Heap = struct
-  type t = { mutable data : event array; mutable size : int }
+  type t = {
+    mutable times : float array;
+    mutable seqs : int array;
+    mutable actions : (unit -> unit) array;
+    mutable size : int;
+  }
 
-  let dummy = { time = 0.0; seq = 0; action = (fun () -> ()) }
-  let create () = { data = Array.make 64 dummy; size = 0 }
+  let nop () = ()
 
-  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  let create () =
+    { times = Array.make 64 0.0; seqs = Array.make 64 0; actions = Array.make 64 nop; size = 0 }
 
-  let push h e =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) dummy in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- e;
+  let grow h =
+    let n = 2 * Array.length h.times in
+    let times = Array.make n 0.0 and seqs = Array.make n 0 and actions = Array.make n nop in
+    Array.blit h.times 0 times 0 h.size;
+    Array.blit h.seqs 0 seqs 0 h.size;
+    Array.blit h.actions 0 actions 0 h.size;
+    h.times <- times;
+    h.seqs <- seqs;
+    h.actions <- actions
+
+  (* The helpers below are inlined so that times stay unboxed floats:
+     a call would box each one it is passed or returns. *)
+  let[@inline] move h ~src ~dst =
+    h.times.(dst) <- h.times.(src);
+    h.seqs.(dst) <- h.seqs.(src);
+    h.actions.(dst) <- h.actions.(src)
+
+  let[@inline] place h i time seq action =
+    h.times.(i) <- time;
+    h.seqs.(i) <- seq;
+    h.actions.(i) <- action
+
+  (* Does slot [i] order before the key (time, seq)? Keys are unique,
+     so [not (before ...)] means the key orders before slot [i]. *)
+  let[@inline] before h i time seq =
+    let ti = h.times.(i) in
+    ti < time || (ti = time && h.seqs.(i) < seq)
+
+  let[@inline] is_empty h = h.size = 0
+
+  (* Time of the earliest event; the heap must not be empty. *)
+  let[@inline] min_time h = h.times.(0)
+
+  (* Sift a hole up from the new last slot, then fill it. *)
+  let push h time seq action =
+    if h.size = Array.length h.times then grow h;
+    let i = ref h.size in
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && less h.data.(!i) h.data.((!i - 1) / 2) do
+    while !i > 0 && not (before h ((!i - 1) / 2) time seq) do
       let p = (!i - 1) / 2 in
-      let tmp = h.data.(p) in
-      h.data.(p) <- h.data.(!i);
-      h.data.(!i) <- tmp;
+      move h ~src:p ~dst:!i;
       i := p
-    done
+    done;
+    place h !i time seq action
 
+  (* Remove and return the earliest action; the heap must not be empty.
+     The last slot's event sifts down from the root as a hole. *)
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- dummy;
-      let i = ref 0 in
-      let continue_sifting = ref true in
-      while !continue_sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.size && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest = !i then continue_sifting := false
+    let top = h.actions.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      let time = h.times.(n) and seq = h.seqs.(n) and action = h.actions.(n) in
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
         else begin
-          let tmp = h.data.(!smallest) in
-          h.data.(!smallest) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !smallest
+          let r = l + 1 in
+          let c = if r < n && before h r h.times.(l) h.seqs.(l) then r else l in
+          if before h c time seq then begin
+            move h ~src:c ~dst:!i;
+            i := c
+          end
+          else sifting := false
         end
       done;
-      Some top
-    end
-
-  let peek h = if h.size = 0 then None else Some h.data.(0)
+      place h !i time seq action
+    end;
+    h.actions.(n) <- nop;
+    top
 end
 
+(* All-float record: both fields are stored unboxed, so advancing the
+   clock allocates nothing. [wake_us] carries a sleep's deadline from
+   [sleep] to its effect handler. *)
+type clock = { mutable now_us : float; mutable wake_us : float }
+
 type t = {
-  mutable now : float;
+  clock : clock;
   mutable seq : int;
   heap : Heap.t;
   mutable live : int;
-  suspended : (int, string) Hashtbl.t; (* suspension token -> thread name *)
-  mutable next_token : int;
+  fibers : (int, fiber) Hashtbl.t; (* id -> fiber, from spawn to exit *)
+  mutable next_id : int;
   mutable anon_count : int; (* per-engine, so names are deterministic *)
   mutable failure : exn option;
+}
+
+(* One record per simulated thread. [f_wake] is allocated once at spawn
+   and resumes the continuation parked in [f_sleeping], so a sleep
+   schedules no closure of its own. *)
+and fiber = {
+  f_id : int;
+  f_name : string;
+  f_eng : t;
+  mutable f_blocked : bool;
+  mutable f_sleeping : (unit, unit) Effect.Deep.continuation option;
+  mutable f_wake : unit -> unit;
 }
 
 type 'a resumer = 'a -> unit
 
 type _ Effect.t +=
   | Suspend : (t -> 'a resumer -> unit) -> 'a Effect.t
-  | Self_name : string Effect.t
+  | Sleep : unit Effect.t
 
 let create () =
-  { now = 0.0; seq = 0; heap = Heap.create (); live = 0;
-    suspended = Hashtbl.create 64; next_token = 0; anon_count = 0; failure = None }
+  { clock = { now_us = 0.0; wake_us = 0.0 }; seq = 0; heap = Heap.create (); live = 0;
+    fibers = Hashtbl.create 64; next_id = 0; anon_count = 0; failure = None }
 
-let now t = t.now
+(* The fiber the engine is currently resuming; [no_fiber] while a timer
+   callback runs or outside [run]. *)
+let no_fiber =
+  { f_id = -1; f_name = ""; f_eng = create (); f_blocked = false; f_sleeping = None;
+    f_wake = Heap.nop }
+
+let current = ref no_fiber
+
+let now t = t.clock.now_us
 
 let schedule t ~at action =
-  let at = if at < t.now then t.now else at in
+  let at = if at < t.clock.now_us then t.clock.now_us else at in
   t.seq <- t.seq + 1;
-  Heap.push t.heap { time = at; seq = t.seq; action }
+  Heap.push t.heap at t.seq action
+
+(* Continue [k] as the current fiber. A fiber's own exceptions end in
+   its [exnc]; one escaping here came from a handler, and must not
+   leave [current] naming a fiber that is no longer running. *)
+let resume fib k v =
+  let prev = !current in
+  current := fib;
+  match Effect.Deep.continue k v with
+  | () -> current := prev
+  | exception e ->
+    current := prev;
+    raise e
+
+let wake_sleeper fib () =
+  match fib.f_sleeping with
+  | Some k ->
+    fib.f_sleeping <- None;
+    fib.f_blocked <- false;
+    resume fib k ()
+  | None -> ()
+
+(* Shared by every fiber: the handler reads the sleeper from [current]
+   and the deadline from the clock, so performing [Sleep] allocates no
+   handler closure. *)
+let on_sleep =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let fib = !current in
+      let t = fib.f_eng in
+      fib.f_blocked <- true;
+      fib.f_sleeping <- Some k;
+      schedule t ~at:t.clock.wake_us fib.f_wake)
 
 let spawn t ?name f =
   let name =
@@ -92,31 +183,48 @@ let spawn t ?name f =
       Printf.sprintf "thread-%d" t.anon_count
   in
   t.live <- t.live + 1;
-  let fiber () =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let fib =
+    { f_id = id; f_name = name; f_eng = t; f_blocked = false; f_sleeping = None;
+      f_wake = Heap.nop }
+  in
+  fib.f_wake <- wake_sleeper fib;
+  Hashtbl.replace t.fibers id fib;
+  let start () =
     let open Effect.Deep in
     match_with f ()
       {
-        retc = (fun () -> t.live <- t.live - 1);
-        exnc = (fun e -> if t.failure = None then t.failure <- Some e);
+        retc =
+          (fun () ->
+            Hashtbl.remove t.fibers id;
+            t.live <- t.live - 1);
+        exnc =
+          (fun e ->
+            Hashtbl.remove t.fibers id;
+            if t.failure = None then t.failure <- Some e);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
+            | Sleep -> on_sleep
             | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let token = t.next_token in
-                  t.next_token <- t.next_token + 1;
-                  Hashtbl.replace t.suspended token name;
-                  let resumer v =
-                    Hashtbl.remove t.suspended token;
-                    schedule t ~at:t.now (fun () -> continue k v)
-                  in
-                  register t resumer)
-            | Self_name -> Some (fun (k : (a, unit) continuation) -> continue k name)
+                  fib.f_blocked <- true;
+                  register t (fun v ->
+                      fib.f_blocked <- false;
+                      schedule t ~at:t.clock.now_us (fun () -> resume fib k v)))
             | _ -> None);
       }
   in
-  schedule t ~at:t.now fiber
+  schedule t ~at:t.clock.now_us (fun () ->
+      let prev = !current in
+      current := fib;
+      match start () with
+      | () -> current := prev
+      | exception e ->
+        current := prev;
+        raise e)
 
 let run ?until t =
   let stop = ref false in
@@ -126,19 +234,18 @@ let run ?until t =
       t.failure <- None;
       raise e
     | None -> ());
-    match Heap.peek t.heap with
-    | None -> stop := true
-    | Some e ->
-      (match until with
-      | Some limit when e.time > limit ->
-        t.now <- limit;
+    if Heap.is_empty t.heap then stop := true
+    else begin
+      let time = Heap.min_time t.heap in
+      match until with
+      | Some limit when time > limit ->
+        t.clock.now_us <- limit;
         stop := true
       | _ ->
-        (match Heap.pop t.heap with
-        | None -> assert false
-        | Some e ->
-          t.now <- e.time;
-          e.action ()))
+        let action = Heap.pop t.heap in
+        t.clock.now_us <- time;
+        action ()
+    end
   done;
   match t.failure with
   | Some e ->
@@ -149,18 +256,25 @@ let run ?until t =
 let live t = t.live
 
 let blocked_names t =
-  Hashtbl.fold (fun _ name acc -> name :: acc) t.suspended []
+  Hashtbl.fold (fun _ fib acc -> if fib.f_blocked then fib.f_name :: acc else acc) t.fibers []
   |> List.sort_uniq String.compare
 
 let suspend register = Effect.perform (Suspend register)
-let self_name () = Effect.perform Self_name
 
-(* Timer callbacks ([schedule]) and code outside [run] are not fibers;
-   performing an effect there raises. Observability plumbing (Trace)
-   wants "whoever is running, if anyone" without caring. *)
+let self_id () = !current.f_id
+
+let self_name () =
+  let fib = !current in
+  if fib == no_fiber then invalid_arg "Engine.self_name: not inside a simulated thread";
+  fib.f_name
+
 let self_name_opt () =
-  match Effect.perform Self_name with
-  | name -> Some name
-  | exception Effect.Unhandled Self_name -> None
-let sleep delay = suspend (fun t k -> schedule t ~at:(t.now +. delay) (fun () -> k ()))
+  let fib = !current in
+  if fib == no_fiber then None else Some fib.f_name
+
+let sleep delay =
+  let t = !current.f_eng in
+  t.clock.wake_us <- t.clock.now_us +. delay;
+  Effect.perform Sleep
+
 let yield () = sleep 0.0

@@ -36,10 +36,18 @@ val live : t -> int
     a deadlock or a wait on an external wake-up that never came. *)
 
 val blocked_names : t -> string list
-(** Names of currently-suspended threads (diagnostic, sorted). *)
+(** Names of currently-suspended threads — parked in {!sleep} or any
+    synchronisation wait (diagnostic, sorted). *)
+
+val self_id : unit -> int
+(** Id of the calling simulated thread: unique per engine, dense from
+    0 in spawn order. [-1] outside a simulated thread (e.g. in a
+    {!schedule} timer callback). Reads the engine's record of the
+    fiber it is resuming; allocates nothing. *)
 
 val self_name : unit -> string
-(** Name of the calling simulated thread. *)
+(** Name of the calling simulated thread. Raises [Invalid_argument]
+    outside one. *)
 
 val self_name_opt : unit -> string option
 (** Like {!self_name}, but [None] when called outside a simulated

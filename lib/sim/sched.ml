@@ -63,25 +63,29 @@ let create_stats () =
     s_handoff_expired; s_affinity_hits; s_direct_dispatches; s_enqueues; s_queue_depth_peak;
     s_queue_depth_sum; s_idle_with_waiter }
 
-type reservation = { r_ticket : int; mutable r_for : string option }
+(* Threads are keyed by their engine id ({!Engine.self_id}); [-1]
+   means "no thread" in every int field below. *)
+let no_thread = -1
 
-type waiter = { w_name : string; w_wake : cpu -> unit }
+type reservation = { r_ticket : int; mutable r_for : int }
+
+type waiter = { w_id : int; w_wake : cpu -> unit }
 
 and cpu = {
   c_id : int;
-  mutable c_running : string option;
-  mutable c_last : string;
+  mutable c_running : int;
+  mutable c_last : int;
   c_runq : waiter Queue.t;
   mutable c_reserved : reservation option;
-  mutable c_busy_us : float;
 }
 
 type t = {
   eng : Engine.t;
   cpus : cpu array;
-  affinity : (string, int) Hashtbl.t; (* thread name -> last CPU *)
+  busy : float array; (* per-CPU busy time, unboxed *)
+  mutable affinity : int array; (* thread id -> last CPU, or -1 *)
   reservations : (int, cpu) Hashtbl.t; (* live handoff tickets *)
-  pending_handoff : (string, cpu) Hashtbl.t; (* claimed, not yet entered *)
+  pending_handoff : (int, cpu) Hashtbl.t; (* thread id -> claimed, not yet entered *)
   mutable next_ticket : int;
   quantum_us : float;
   context_switch_us : float;
@@ -98,13 +102,13 @@ let create eng ~cpus ?(quantum_us = 10_000.0) ~context_switch_us () =
       Array.init cpus (fun i ->
           {
             c_id = i;
-            c_running = None;
-            c_last = "";
+            c_running = no_thread;
+            c_last = no_thread;
             c_runq = Queue.create ();
             c_reserved = None;
-            c_busy_us = 0.0;
           });
-    affinity = Hashtbl.create 64;
+    busy = Array.make cpus 0.0;
+    affinity = Array.make 64 (-1);
     reservations = Hashtbl.create 8;
     pending_handoff = Hashtbl.create 8;
     next_ticket = 0;
@@ -118,26 +122,37 @@ let cpu_count t = Array.length t.cpus
 let stats t = t.stats
 let set_trace t tr = t.trace <- tr
 
-(* Which processor (if any) a named thread currently occupies — the
-   trace's CPU-stamping hook. *)
-let running_cpu t name =
-  let found = ref None in
-  Array.iter (fun c -> if !found = None && c.c_running = Some name then found := Some c.c_id) t.cpus;
-  !found
+let home t id = if id >= 0 && id < Array.length t.affinity then t.affinity.(id) else -1
+
+let set_home t id cpu =
+  if id >= Array.length t.affinity then begin
+    let bigger = Array.make (max (id + 1) (2 * Array.length t.affinity)) (-1) in
+    Array.blit t.affinity 0 bigger 0 (Array.length t.affinity);
+    t.affinity <- bigger
+  end;
+  t.affinity.(id) <- cpu
+
+(* Which processor thread [id] currently occupies, or -1 — the trace's
+   CPU-stamping hook. *)
+let running_cpu t id =
+  let n = Array.length t.cpus and i = ref 0 in
+  while !i < n && t.cpus.(!i).c_running <> id do
+    incr i
+  done;
+  if id <> no_thread && !i < n then !i else -1
 
 let trace_point t label =
   match t.trace with
   | Some tr when Trace.enabled tr -> Trace.point tr ~subsystem:"sched" label
   | Some _ | None -> ()
-let busy_us t = Array.fold_left (fun acc c -> acc +. c.c_busy_us) 0.0 t.cpus
+
+let add_busy t cpu us = t.busy.(cpu.c_id) <- t.busy.(cpu.c_id) +. us
+let busy_us t = Array.fold_left ( +. ) 0.0 t.busy
 let queued t = Array.fold_left (fun acc c -> acc + Queue.length c.c_runq) 0 t.cpus
 
-let idle_cpus t =
-  Array.fold_left
-    (fun acc c -> if c.c_running = None && c.c_reserved = None then acc + 1 else acc)
-    0 t.cpus
+let free c = c.c_running = no_thread && c.c_reserved = None
 
-let free c = c.c_running = None && c.c_reserved = None
+let idle_cpus t = Array.fold_left (fun acc c -> if free c then acc + 1 else acc) 0 t.cpus
 
 (* Oracle for the no-starvation invariant: once dispatch has run, a
    truly idle processor implies every run queue is empty (work stealing
@@ -147,16 +162,17 @@ let check_idle_invariant t =
   if Array.exists free t.cpus && queued t > 0 then
     Metrics.incr t.stats.s_idle_with_waiter
 
+(* The CPU with the longest non-empty run queue (lowest id on ties), or
+   -1 when every queue is empty. *)
 let longest_runq t =
-  let best = ref None in
-  Array.iter
-    (fun c ->
-      let len = Queue.length c.c_runq in
-      if len > 0 then
-        match !best with
-        | Some b when Queue.length b.c_runq >= len -> ()
-        | _ -> best := Some c)
-    t.cpus;
+  let best = ref (-1) and best_len = ref 0 in
+  for i = 0 to Array.length t.cpus - 1 do
+    let len = Queue.length t.cpus.(i).c_runq in
+    if len > !best_len then begin
+      best := i;
+      best_len := len
+    end
+  done;
   !best
 
 (* Give an idle CPU its next thread: local queue first, then steal the
@@ -165,44 +181,47 @@ let longest_runq t =
    thread). Reserved CPUs are skipped — they are held for a handoff. *)
 let dispatch t cpu =
   if cpu.c_reserved = None then begin
-    match Queue.take_opt cpu.c_runq with
-    | Some w ->
-      cpu.c_running <- Some w.w_name;
+    if not (Queue.is_empty cpu.c_runq) then begin
+      let w = Queue.take cpu.c_runq in
+      cpu.c_running <- w.w_id;
       Metrics.incr t.stats.s_switches;
       w.w_wake cpu
-    | None -> (
+    end
+    else
       match longest_runq t with
-      | Some victim ->
-        let w = Queue.take victim.c_runq in
-        cpu.c_running <- Some w.w_name;
+      | -1 -> check_idle_invariant t
+      | victim ->
+        let w = Queue.take t.cpus.(victim).c_runq in
+        cpu.c_running <- w.w_id;
         Metrics.incr t.stats.s_switches;
         Metrics.incr t.stats.s_steals;
         Metrics.incr t.stats.s_migrations;
         w.w_wake cpu
-      | None -> check_idle_invariant t)
   end
 
-let note_affinity t cpu name =
-  cpu.c_last <- name;
-  Hashtbl.replace t.affinity name cpu.c_id
+let note_affinity t cpu id =
+  cpu.c_last <- id;
+  set_home t id cpu.c_id
 
 (* A finished burst releases its processor. *)
-let release t cpu name =
-  note_affinity t cpu name;
-  cpu.c_running <- None;
+let release t cpu id =
+  note_affinity t cpu id;
+  cpu.c_running <- no_thread;
   dispatch t cpu
 
 type entry = Entry_direct | Entry_queued | Entry_handoff
 
-let take t cpu name =
-  cpu.c_running <- Some name;
+let take t cpu id =
+  cpu.c_running <- id;
   Metrics.incr t.stats.s_direct_dispatches;
-  if cpu.c_last = name then Metrics.incr t.stats.s_affinity_hits
+  if cpu.c_last = id then Metrics.incr t.stats.s_affinity_hits
 
 let first_free t =
-  let found = ref None in
-  Array.iter (fun c -> if !found = None && free c then found := Some c) t.cpus;
-  !found
+  let n = Array.length t.cpus and i = ref 0 in
+  while !i < n && not (free t.cpus.(!i)) do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let shortest_runq t =
   let best = ref t.cpus.(0) in
@@ -215,84 +234,85 @@ let consume_reservation t cpu =
   | None -> ());
   cpu.c_reserved <- None
 
-let acquire t name =
-  let claimed =
-    match Hashtbl.find_opt t.pending_handoff name with
-    | Some cpu
-      when (match cpu.c_reserved with Some r -> r.r_for = Some name | None -> false) ->
-      Hashtbl.remove t.pending_handoff name;
+(* A handoff claimed by [id] whose reservation is still live. *)
+let claimed_handoff t id =
+  if Hashtbl.length t.pending_handoff = 0 then None
+  else
+    match Hashtbl.find_opt t.pending_handoff id with
+    | Some cpu when (match cpu.c_reserved with Some r -> r.r_for = id | None -> false) ->
+      Hashtbl.remove t.pending_handoff id;
       consume_reservation t cpu;
-      cpu.c_running <- Some name;
+      cpu.c_running <- id;
       Metrics.incr t.stats.s_handoff_claims;
-      Some (cpu, Entry_handoff)
+      Some cpu
     | Some _ ->
       (* The reservation expired (or was re-issued) before we computed. *)
-      Hashtbl.remove t.pending_handoff name;
+      Hashtbl.remove t.pending_handoff id;
       None
     | None -> None
-  in
-  match claimed with
-  | Some r -> r
+
+let acquire t id =
+  match claimed_handoff t id with
+  | Some cpu -> (cpu, Entry_handoff)
   | None -> (
-    let home = Hashtbl.find_opt t.affinity name in
-    match home with
-    | Some h when free t.cpus.(h) ->
-      take t t.cpus.(h) name;
-      (t.cpus.(h), Entry_direct)
-    | _ -> (
+    let home = home t id in
+    if home >= 0 && free t.cpus.(home) then begin
+      take t t.cpus.(home) id;
+      (t.cpus.(home), Entry_direct)
+    end
+    else
       match first_free t with
-      | Some c ->
-        take t c name;
-        if home <> None then Metrics.incr t.stats.s_migrations;
-        (c, Entry_direct)
-      | None ->
-        let target =
-          match home with Some h -> t.cpus.(h) | None -> shortest_runq t
-        in
+      | -1 ->
+        let target = if home >= 0 then t.cpus.(home) else shortest_runq t in
         Metrics.incr t.stats.s_enqueues;
         let depth = queued t + 1 in
         Metrics.add t.stats.s_queue_depth_sum depth;
         Metrics.raise_to t.stats.s_queue_depth_peak depth;
         let cpu =
-          Engine.suspend (fun _eng k -> Queue.add { w_name = name; w_wake = k } target.c_runq)
+          Engine.suspend (fun _eng k -> Queue.add { w_id = id; w_wake = k } target.c_runq)
         in
-        (cpu, Entry_queued)))
+        (cpu, Entry_queued)
+      | c ->
+        take t t.cpus.(c) id;
+        if home >= 0 then Metrics.incr t.stats.s_migrations;
+        (t.cpus.(c), Entry_direct))
 
 (* The context-switch cost of entering via a run queue, charged to the
    incoming thread on its new processor. *)
 let charge_switch t cpu =
   if t.context_switch_us > 0.0 then begin
     Engine.sleep t.context_switch_us;
-    cpu.c_busy_us <- cpu.c_busy_us +. t.context_switch_us
+    add_busy t cpu t.context_switch_us
   end
 
-let rec run_burst t cpu name remaining =
+let rec run_burst t cpu id remaining =
   let slice = if remaining > t.quantum_us then t.quantum_us else remaining in
   Engine.sleep slice;
-  cpu.c_busy_us <- cpu.c_busy_us +. slice;
+  add_busy t cpu slice;
   let remaining = remaining -. slice in
-  if remaining <= 0.0 then release t cpu name
+  if remaining <= 0.0 then release t cpu id
   else if Queue.length cpu.c_runq > 0 then begin
     (* Quantum expired with local contention: preempt. Requeue at the
        tail first so the dispatch below picks the earlier waiter. *)
     Metrics.incr t.stats.s_preemptions;
     trace_point t "preempt";
-    note_affinity t cpu name;
+    note_affinity t cpu id;
     let cpu' =
       Engine.suspend (fun _eng k ->
-          Queue.add { w_name = name; w_wake = k } cpu.c_runq;
-          cpu.c_running <- None;
+          Queue.add { w_id = id; w_wake = k } cpu.c_runq;
+          cpu.c_running <- no_thread;
           dispatch t cpu)
     in
     charge_switch t cpu';
-    run_burst t cpu' name remaining
+    run_burst t cpu' id remaining
   end
-  else run_burst t cpu name remaining
+  else run_burst t cpu id remaining
 
 let compute t us =
   if us > 0.0 then begin
-    let name = Engine.self_name () in
-    let cpu, entry = acquire t name in
+    let id = Engine.self_id () in
+    if id < 0 then invalid_arg "Sched.compute: not inside a simulated thread";
+    let cpu, entry = acquire t id in
     trace_point t
       (match entry with
       | Entry_direct -> "enter_direct"
@@ -301,7 +321,7 @@ let compute t us =
     (match entry with
     | Entry_queued -> charge_switch t cpu
     | Entry_direct | Entry_handoff -> ());
-    run_burst t cpu name us
+    run_burst t cpu id us
   end
 
 (* {2 Handoff} *)
@@ -312,16 +332,15 @@ let compute t us =
 let reserve_window t = t.context_switch_us
 
 let donate t =
-  let donor = Engine.self_name () in
-  match Hashtbl.find_opt t.affinity donor with
-  | None -> None
-  | Some h ->
+  match home t (Engine.self_id ()) with
+  | -1 -> None
+  | h ->
     let cpu = t.cpus.(h) in
     if not (free cpu) then None
     else begin
       let ticket = t.next_ticket in
       t.next_ticket <- ticket + 1;
-      let r = { r_ticket = ticket; r_for = None } in
+      let r = { r_ticket = ticket; r_for = no_thread } in
       cpu.c_reserved <- Some r;
       Hashtbl.replace t.reservations ticket cpu;
       trace_point t "donate";
@@ -330,9 +349,7 @@ let donate t =
         (fun () ->
           match cpu.c_reserved with
           | Some r' when r'.r_ticket = ticket ->
-            (match r'.r_for with
-            | Some name -> Hashtbl.remove t.pending_handoff name
-            | None -> ());
+            if r'.r_for <> no_thread then Hashtbl.remove t.pending_handoff r'.r_for;
             consume_reservation t cpu;
             Metrics.incr t.stats.s_handoff_expired;
             dispatch t cpu
@@ -340,12 +357,12 @@ let donate t =
       Some ticket
     end
 
-let claim_handoff t ~ticket ~name =
+let claim_handoff t ~ticket ~id =
   match Hashtbl.find_opt t.reservations ticket with
   | None -> ()
   | Some cpu -> (
     match cpu.c_reserved with
-    | Some r when r.r_ticket = ticket && r.r_for = None ->
-      r.r_for <- Some name;
-      Hashtbl.replace t.pending_handoff name cpu
+    | Some r when r.r_ticket = ticket && r.r_for = no_thread ->
+      r.r_for <- id;
+      Hashtbl.replace t.pending_handoff id cpu
     | _ -> ())

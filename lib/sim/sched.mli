@@ -56,10 +56,10 @@ val donate : t -> int option
     a handoff, if it is currently idle. Returns a ticket for
     {!claim_handoff}, or [None] if the processor is busy. *)
 
-val claim_handoff : t -> ticket:int -> name:string -> unit
-(** Bind a live reservation to thread [name]; its next {!compute}
-    enters on the donated processor without queueing or switch charge.
-    Expired or unknown tickets are ignored. *)
+val claim_handoff : t -> ticket:int -> id:int -> unit
+(** Bind a live reservation to thread [id] ({!Engine.self_id}); its
+    next {!compute} enters on the donated processor without queueing or
+    switch charge. Expired or unknown tickets are ignored. *)
 
 val cpu_count : t -> int
 val stats : t -> stats
@@ -69,9 +69,9 @@ val set_trace : t -> Trace.t option -> unit
     [enter_queued] / [enter_handoff]), preemptions and donations emit
     "sched" points attributed to the computing fiber's current span. *)
 
-val running_cpu : t -> string -> int option
-(** The processor a named thread currently occupies, if any — the
-    trace's CPU-stamping hook. *)
+val running_cpu : t -> int -> int
+(** The processor thread [id] ({!Engine.self_id}) currently occupies,
+    or [-1] when it is not running — the trace's CPU-stamping hook. *)
 
 val busy_us : t -> float
 (** Total processor-busy time accumulated across all CPUs (compute

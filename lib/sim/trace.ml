@@ -51,9 +51,9 @@ type t = {
   mutable count : int;  (* valid events, <= capacity *)
   mutable total : int;  (* ever recorded *)
   mutable next_span : int;
-  mutable cpu_hooks : (string -> int) list;
-      (* thread name -> running CPU or -1; one hook per host scheduler *)
-  stacks : (string, int list) Hashtbl.t;  (* fiber name -> open-span stack *)
+  mutable cpu_hooks : (int -> int) list;
+      (* thread id -> running CPU or -1; one hook per host scheduler *)
+  stacks : (int, int list) Hashtbl.t;  (* fiber id -> open-span stack *)
 }
 
 let none = -1
@@ -78,18 +78,20 @@ let clear t =
   t.total <- 0;
   Hashtbl.reset t.stacks
 
-let cpu_of t = function
-  | None -> none
-  | Some name ->
+(* The calling fiber's CPU, from the first hook that knows it. *)
+let cpu_of t =
+  match Engine.self_id () with
+  | -1 -> none
+  | id ->
     let rec go = function
       | [] -> none
-      | f :: rest -> ( match f name with -1 -> go rest | c -> c)
+      | f :: rest -> ( match f id with -1 -> go rest | c -> c)
     in
     go t.cpu_hooks
 
-let record t ~span ~parent ~sub ~kind ~label ~who =
+let record t ~span ~parent ~sub ~kind ~label =
   let ev =
-    { ev_seq = t.total; ev_time = Engine.now t.eng; ev_cpu = cpu_of t who; ev_span = span;
+    { ev_seq = t.total; ev_time = Engine.now t.eng; ev_cpu = cpu_of t; ev_span = span;
       ev_parent = parent; ev_sub = sub; ev_kind = kind; ev_label = label }
   in
   t.buf.(t.head) <- ev;
@@ -102,7 +104,7 @@ let top_of t who =
 
 let current t =
   if not t.on then none
-  else match Engine.self_name_opt () with None -> none | Some who -> top_of t who
+  else match Engine.self_id () with -1 -> none | who -> top_of t who
 
 let push t who span =
   Hashtbl.replace t.stacks who
@@ -130,41 +132,40 @@ let pop t who span =
 let span_open t ~subsystem ~label =
   if not t.on then none
   else begin
-    let who = Engine.self_name_opt () in
-    let parent = match who with None -> none | Some w -> top_of t w in
+    let who = Engine.self_id () in
+    let parent = if who < 0 then none else top_of t who in
     let id = t.next_span in
     t.next_span <- id + 1;
-    record t ~span:id ~parent ~sub:subsystem ~kind:Open ~label ~who;
-    (match who with Some w -> push t w id | None -> ());
+    record t ~span:id ~parent ~sub:subsystem ~kind:Open ~label;
+    if who >= 0 then push t who id;
     id
   end
 
 let span_close t ~subsystem ~label span =
   if t.on && span >= 0 then begin
-    let who = Engine.self_name_opt () in
-    record t ~span ~parent:none ~sub:subsystem ~kind:Close ~label ~who;
-    match who with Some w -> pop t w span | None -> ()
+    let who = Engine.self_id () in
+    record t ~span ~parent:none ~sub:subsystem ~kind:Close ~label;
+    if who >= 0 then pop t who span
   end
 
 let point ?span t ~subsystem label =
   if t.on then begin
-    let who = Engine.self_name_opt () in
     let sp =
       match span with
       | Some s -> s
-      | None -> ( match who with None -> none | Some w -> top_of t w)
+      | None -> current t
     in
-    record t ~span:sp ~parent:none ~sub:subsystem ~kind:Point ~label ~who
+    record t ~span:sp ~parent:none ~sub:subsystem ~kind:Point ~label
   end
 
 let adopt t span f =
   if (not t.on) || span < 0 then f ()
   else
-    match Engine.self_name_opt () with
-    | None -> f ()
-    | Some w ->
-      push t w span;
-      Fun.protect ~finally:(fun () -> pop t w span) f
+    match Engine.self_id () with
+    | -1 -> f ()
+    | who ->
+      push t who span;
+      Fun.protect ~finally:(fun () -> pop t who span) f
 
 (* {2 Reductions} *)
 

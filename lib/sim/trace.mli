@@ -50,9 +50,10 @@ val capacity : t -> int
 val clear : t -> unit
 (** Drop all events and open-span stacks (ids keep advancing). *)
 
-val add_cpu_hook : t -> (string -> int) -> unit
-(** Register a thread-name → running-CPU resolver (one per host
-    scheduler); the first hook answering [>= 0] stamps the event. *)
+val add_cpu_hook : t -> (int -> int) -> unit
+(** Register a thread-id ({!Engine.self_id}) → running-CPU resolver
+    (one per host scheduler); the first hook answering [>= 0] stamps
+    the event. *)
 
 val span_open : t -> subsystem:string -> label:string -> int
 (** Open a span parented on the calling fiber's current span. Returns

@@ -219,6 +219,54 @@ let test_short_partition_recovers_without_loss () =
   check Alcotest.(list string) "all across the heal, in order" (expected_payloads 8)
     (drain_payloads p)
 
+(* A long stream over one lossy channel, then a partition that downs
+   it and a heal that opens a new epoch. Acks cover only the packets
+   past the channel's lowest unacked seq, so this checks that the
+   window still drains completely in both epochs and that every packet
+   of the new epoch is acked and delivered in order. *)
+let test_long_stream_drains_across_epochs () =
+  let eng, _, ctx, chaos =
+    make_chaos_ctx { Chaos.perfect with drop = 0.02; reorder = 0.02; jitter_us = 500.0 }
+  in
+  Context.set_retry_budget ctx 3;
+  let got = ref [] in
+  let send i =
+    Context.remote_deliver ctx ~src:0 ~dst:1 ~bytes:32 (fun () -> got := i :: !got)
+  in
+  let stream ~first ~n =
+    for i = first to first + n - 1 do
+      (match send i with
+      | Ok () -> ()
+      | Error `Unreachable -> Alcotest.failf "send %d on a live channel" i);
+      Engine.sleep 300.0
+    done;
+    Engine.sleep 1_000_000.0
+  in
+  let delivered () =
+    let d = List.rev !got in
+    got := [];
+    d
+  in
+  in_sim eng (fun () ->
+      stream ~first:1 ~n:3000;
+      check Alcotest.int "first epoch: window drained" 0 (Context.unacked ctx ~src:0 ~dst:1);
+      check Alcotest.(list int) "first epoch: all delivered in order" (List.init 3000 succ)
+        (delivered ());
+      Chaos.partition chaos 0 1;
+      ignore (send 0);
+      Engine.sleep 200_000.0;
+      Alcotest.(check bool) "partition downed the channel" true
+        (Context.chan_down ctx ~src:0 ~dst:1);
+      check Alcotest.int "watchdog shed the window" 0 (Context.unacked ctx ~src:0 ~dst:1);
+      Chaos.heal chaos 0 1;
+      stream ~first:5001 ~n:500;
+      check Alcotest.int "new epoch: window drained" 0 (Context.unacked ctx ~src:0 ~dst:1);
+      check Alcotest.(list int) "new epoch: all delivered in order"
+        (List.init 500 (fun i -> 5001 + i))
+        (delivered ()));
+  Alcotest.(check bool) "losses were injected" true
+    (Metrics.value (Chaos.stats chaos).Chaos.s_dropped > 0)
+
 let test_crash_propagates_port_death () =
   let eng, _, ctx, chaos = make_chaos_ctx Chaos.perfect in
   let remote = Port.create ctx ~home:1 () in
@@ -312,6 +360,8 @@ let () =
           Alcotest.test_case "heal revives a down channel" `Quick test_heal_revives_channel;
           Alcotest.test_case "short partition loses nothing" `Quick
             test_short_partition_recovers_without_loss;
+          Alcotest.test_case "long stream drains across epochs" `Quick
+            test_long_stream_drains_across_epochs;
         ] );
       ( "host-failure",
         [

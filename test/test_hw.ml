@@ -242,6 +242,59 @@ let test_disk_bounds () =
         (fun () -> ignore (Disk.read d ~block:9)));
   Engine.run eng
 
+(* ---- sparse disk store ------------------------------------------------- *)
+
+let zeroes n = String.make n '\000'
+
+let test_disk_unwritten_reads_zero () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"s0" ~blocks:8 ~block_size:64 ~seek_us:10.0 () in
+  (* Dirty the caller's buffer so a skipped fill would show. *)
+  let into = Bytes.make 64 'x' in
+  let via_read = ref Bytes.empty in
+  Engine.spawn eng (fun () ->
+      via_read := Disk.read d ~block:5;
+      Disk.read_into d ~block:6 ~src_off:8 ~dst:into ~dst_off:4 ~len:16);
+  Engine.run eng;
+  check Alcotest.string "read" (zeroes 64) (Bytes.to_string !via_read);
+  check Alcotest.string "read_into" ("xxxx" ^ zeroes 16 ^ String.make 44 'x') (Bytes.to_string into);
+  check Alcotest.string "read_raw" (zeroes 64) (Bytes.to_string (Disk.read_raw d ~block:7));
+  check Alcotest.int "reads still charged" 2 (Disk.reads d)
+
+let test_disk_short_write_zero_tail () =
+  let eng = Engine.create () in
+  let d = Disk.create eng ~name:"s1" ~blocks:4 ~block_size:64 ~seek_us:10.0 () in
+  let back = ref Bytes.empty in
+  Engine.spawn eng (fun () ->
+      Disk.write_from d ~block:2 ~src:(Bytes.of_string "..abc..") ~src_off:2 ~len:3;
+      back := Disk.read d ~block:2);
+  Engine.run eng;
+  check Alcotest.string "written head, zero tail" ("abc" ^ zeroes 61) (Bytes.to_string !back);
+  Disk.write_raw_from d ~block:3 ~dst_off:60 ~src:(Bytes.of_string "tail") ~src_off:0 ~len:4;
+  check Alcotest.string "raw write into a fresh block" (zeroes 60 ^ "tail")
+    (Bytes.to_string (Disk.read_raw d ~block:3))
+
+let test_disk_reattach_shares_fresh_blocks () =
+  let d = Disk.create (Engine.create ()) ~name:"s2" ~blocks:4 ~block_size:16 () in
+  let d2 = Disk.reattach d (Engine.create ()) in
+  Disk.write_raw d2 ~block:1 (Bytes.of_string "from the view");
+  check Alcotest.string "view -> original" "from the view"
+    (Bytes.sub_string (Disk.read_raw d ~block:1) 0 13);
+  Disk.write_raw d ~block:2 (Bytes.of_string "from original");
+  check Alcotest.string "original -> view" "from original"
+    (Bytes.sub_string (Disk.read_raw d2 ~block:2) 0 13);
+  check Alcotest.string "untouched block still zero in both" (zeroes 16)
+    (Bytes.to_string (Disk.read_raw d2 ~block:3))
+
+(* An unwritten disk costs one pointer per block, not its capacity. *)
+let test_disk_create_is_sparse () =
+  let eng = Engine.create () in
+  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let d = Disk.create eng ~name:"s3" ~blocks:4096 ~block_size:4096 () in
+  let words = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before in
+  check Alcotest.int "geometry" 4096 (Disk.blocks d);
+  if words >= 16_384.0 then Alcotest.failf "Disk.create allocated %.0f words" words
+
 (* ---- net ------------------------------------------------------------------ *)
 
 let test_net_latency_and_fifo () =
@@ -347,6 +400,11 @@ let () =
           Alcotest.test_case "reattach shares bytes" `Quick test_disk_reattach_shares_bytes;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
           Alcotest.test_case "slices" `Quick test_disk_slices;
+          Alcotest.test_case "unwritten blocks read zero" `Quick test_disk_unwritten_reads_zero;
+          Alcotest.test_case "short write leaves zero tail" `Quick test_disk_short_write_zero_tail;
+          Alcotest.test_case "reattach shares fresh blocks" `Quick
+            test_disk_reattach_shares_fresh_blocks;
+          Alcotest.test_case "create is sparse" `Quick test_disk_create_is_sparse;
         ] );
       ( "net",
         [

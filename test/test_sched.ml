@@ -126,6 +126,81 @@ let test_handoff_expiry () =
   Alcotest.(check bool) "burst ran after expiry" true !late_done;
   check Alcotest.int "expiry counted" 1 (Metrics.value (Sched.stats s).Sched.s_handoff_expired)
 
+let test_handoff_claim_by_id () =
+  (* Two threads share a name; the reservation belongs to the one
+     whose id claimed it, and only that one enters charge-free. *)
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:20.0 () in
+  let ticket = ref None and claimant = ref (-1) in
+  let claimant_done = ref 0.0 and other_done = ref 0.0 in
+  Engine.spawn eng ~name:"donor" (fun () ->
+      Sched.compute s 10.0;
+      ticket := Sched.donate s);
+  Engine.spawn eng ~name:"twin" (fun () ->
+      Engine.sleep 11.0;
+      claimant := Engine.self_id ();
+      (match !ticket with
+      | Some ticket -> Sched.claim_handoff s ~ticket ~id:!claimant
+      | None -> Alcotest.fail "donation of an idle CPU should succeed");
+      Engine.sleep 1.0;
+      Sched.compute s 10.0;
+      claimant_done := Engine.now eng);
+  Engine.spawn eng ~name:"twin" (fun () ->
+      Engine.sleep 11.5;
+      (* Reserved for the other twin: this one must queue behind it. *)
+      Sched.compute s 10.0;
+      other_done := Engine.now eng);
+  Engine.run eng;
+  let st = Sched.stats s in
+  check Alcotest.int "one claim" 1 (Metrics.value st.Sched.s_handoff_claims);
+  check Alcotest.int "none expired" 0 (Metrics.value st.Sched.s_handoff_expired);
+  check Alcotest.int "the other twin queued" 1 (Metrics.value st.Sched.s_enqueues);
+  check (Alcotest.float 1e-9) "claimant entered on the donated CPU" 22.0 !claimant_done;
+  check (Alcotest.float 1e-9) "other twin paid a switch behind it" 52.0 !other_done
+
+let test_running_cpu_by_id () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:2 ~quantum_us:10_000.0 ~context_switch_us:0.0 () in
+  let ids = Array.make 2 (-1) in
+  for i = 0 to 1 do
+    Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+        ids.(i) <- Engine.self_id ();
+        Engine.sleep (float_of_int (10 * i));
+        Sched.compute s 100.0)
+  done;
+  let seen = ref [] in
+  Engine.schedule eng ~at:50.0 (fun () ->
+      seen := Array.to_list (Array.map (Sched.running_cpu s) ids));
+  Engine.run eng;
+  check Alcotest.(list int) "each on its own CPU mid-burst" [ 0; 1 ] !seen;
+  check Alcotest.int "not running after the burst" (-1) (Sched.running_cpu s ids.(0));
+  check Alcotest.int "unknown id" (-1) (Sched.running_cpu s 12345);
+  check Alcotest.int "no thread is on no CPU, even an idle one" (-1) (Sched.running_cpu s (-1))
+
+(* An uncontended burst costs its sleep plus the scheduler's
+   bookkeeping, which is allocation-free: int-keyed tables, unboxed
+   busy time, no effect to learn the caller's identity. *)
+let test_compute_allocation () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:2 ~quantum_us:10_000.0 ~context_switch_us:50.0 () in
+  (* Pending timers, so the engine's heap sifts through real levels. *)
+  for i = 1 to 1000 do
+    Engine.schedule eng ~at:(1e9 +. float_of_int i) ignore
+  done;
+  let words = ref nan in
+  Engine.spawn eng ~name:"measured" (fun () ->
+      Sched.compute s 10.0;
+      let calibrate = Gc.minor_words () in
+      let overhead = Gc.minor_words () -. calibrate in
+      let before = Gc.minor_words () in
+      let n = 10_000 in
+      for _ = 1 to n do
+        Sched.compute s 10.0
+      done;
+      words := (Gc.minor_words () -. before -. overhead) /. float_of_int n);
+  Engine.run eng;
+  if !words > 40.0 then Alcotest.failf "compute allocates %.1f words (bound 40)" !words
+
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
 (* Random fleets of threads with random burst plans on random CPU
@@ -278,6 +353,9 @@ let () =
           Alcotest.test_case "quantum preemption interleaves" `Quick test_quantum_preemption;
           Alcotest.test_case "soft affinity" `Quick test_affinity_preferred;
           Alcotest.test_case "unclaimed donation expires" `Quick test_handoff_expiry;
+          Alcotest.test_case "handoff claimed by thread id" `Quick test_handoff_claim_by_id;
+          Alcotest.test_case "running cpu by thread id" `Quick test_running_cpu_by_id;
+          Alcotest.test_case "compute allocation bound" `Quick test_compute_allocation;
           QCheck_alcotest.to_alcotest no_starvation_prop;
         ] );
       ( "ipc-handoff",

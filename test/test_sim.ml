@@ -99,6 +99,97 @@ let test_determinism_across_runs () =
   in
   check Alcotest.string "identical traces" (run ()) (run ())
 
+(* The heap keeps the (time, insertion) order whatever the mix of
+   equal times, across several array growths: the events run exactly
+   in the order of a stable sort of the pushes by time. *)
+let tie_break_prop =
+  let open QCheck2 in
+  Test.make ~name:"equal times pop in insertion order" ~count:100
+    Gen.(list_size (int_range 1 400) (int_range 0 7))
+    (fun times ->
+      let eng = Engine.create () in
+      let log = ref [] in
+      List.iteri
+        (fun i tm -> Engine.schedule eng ~at:(float_of_int tm) (fun () -> log := i :: !log))
+        times;
+      Engine.run eng;
+      let expected =
+        List.mapi (fun i tm -> (tm, i)) times
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      List.rev !log = expected)
+
+let test_blocked_names_sleep_and_ivar () =
+  let eng = Engine.create () in
+  let iv : unit Ivar.t = Ivar.create () in
+  Engine.spawn eng ~name:"sleeper" (fun () -> Engine.sleep 1_000.0);
+  Engine.spawn eng ~name:"waiter" (fun () -> Ivar.read iv);
+  Engine.spawn eng ~name:"finisher" (fun () -> Engine.sleep 10.0);
+  Engine.run ~until:500.0 eng;
+  check Alcotest.(list string) "parked in sleep and on the ivar" [ "sleeper"; "waiter" ]
+    (Engine.blocked_names eng);
+  Engine.run eng;
+  check Alcotest.(list string) "only the ivar waiter is stuck forever" [ "waiter" ]
+    (Engine.blocked_names eng);
+  check Alcotest.int "one live thread" 1 (Engine.live eng)
+
+let test_self_outside_fibers () =
+  let eng = Engine.create () in
+  let in_timer = ref (Some "unset") and timer_id = ref 0 in
+  let ids = ref [] in
+  Engine.schedule eng ~at:5.0 (fun () ->
+      in_timer := Engine.self_name_opt ();
+      timer_id := Engine.self_id ());
+  for i = 0 to 2 do
+    Engine.spawn eng ~name:(Printf.sprintf "f%d" i) (fun () ->
+        let id = Engine.self_id () in
+        Engine.sleep 10.0;
+        (* Still the same fiber after being resumed. *)
+        check Alcotest.int "id survives a sleep" id (Engine.self_id ());
+        check Alcotest.(option string) "name opt" (Some (Printf.sprintf "f%d" i))
+          (Engine.self_name_opt ());
+        ids := id :: !ids)
+  done;
+  Engine.run eng;
+  check Alcotest.(option string) "no fiber in a timer callback" None !in_timer;
+  check Alcotest.int "no id in a timer callback" (-1) !timer_id;
+  check Alcotest.(option string) "no fiber outside run" None (Engine.self_name_opt ());
+  check Alcotest.int "fibers have distinct ids" 3 (List.length (List.sort_uniq compare !ids))
+
+(* Minor words allocated per call of [f], measured inside a fiber over
+   [n] calls (after one warm-up call), net of [Gc.minor_words]'s own
+   boxing. Includes the engine's share: event push, pop and resume, on
+   a heap holding a thousand pending timers, so that sifting through
+   its levels is counted too. *)
+let words_per_call ?(n = 10_000) f =
+  let eng = Engine.create () in
+  for i = 1 to 1000 do
+    Engine.schedule eng ~at:(1e9 +. float_of_int i) ignore
+  done;
+  let words = ref nan in
+  Engine.spawn eng ~name:"measured" (fun () ->
+      f ();
+      let calibrate = Gc.minor_words () in
+      let overhead = Gc.minor_words () -. calibrate in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        f ()
+      done;
+      words := (Gc.minor_words () -. before -. overhead) /. float_of_int n);
+  Engine.run eng;
+  !words
+
+let test_sleep_allocation () =
+  let w = words_per_call (fun () -> Engine.sleep 1.0) in
+  if w > 24.0 then Alcotest.failf "sleep allocates %.1f words (bound 24)" w
+
+let test_self_name_allocates_nothing () =
+  let w = words_per_call (fun () -> ignore (Sys.opaque_identity (Engine.self_name ()))) in
+  check (Alcotest.float 0.0) "self_name words" 0.0 w;
+  let w = words_per_call (fun () -> ignore (Sys.opaque_identity (Engine.self_id ()))) in
+  check (Alcotest.float 0.0) "self_id words" 0.0 w
+
 (* qcheck: arbitrary programs of spawns/sleeps/sends produce identical
    traces on re-execution — the engine is deterministic by
    construction. *)
@@ -431,6 +522,13 @@ let () =
           Alcotest.test_case "self name" `Quick test_self_name;
           Alcotest.test_case "determinism" `Quick test_determinism_across_runs;
           QCheck_alcotest.to_alcotest determinism_prop;
+          QCheck_alcotest.to_alcotest tie_break_prop;
+          Alcotest.test_case "blocked names: sleep and ivar" `Quick
+            test_blocked_names_sleep_and_ivar;
+          Alcotest.test_case "self outside fibers" `Quick test_self_outside_fibers;
+          Alcotest.test_case "sleep allocation bound" `Quick test_sleep_allocation;
+          Alcotest.test_case "self_name allocates nothing" `Quick
+            test_self_name_allocates_nothing;
         ] );
       ( "ivar",
         [
