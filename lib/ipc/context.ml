@@ -8,10 +8,14 @@ module Metrics = Mach_util.Metrics
    thread per message. The mailbox bounds in-flight work; past that,
    thunks spill to [overflow] (plain FIFO, no extra threads). Once
    anything has spilled, new work keeps spilling until the daemon has
-   drained the overflow, preserving arrival order. *)
+   drained the overflow, preserving arrival order. The record outlives
+   its daemon: an idle daemon exits (so the engine can quiesce) and the
+   next delivery respawns one on the same record. *)
 type delivery = {
+  d_name : string;
   dq : (unit -> unit) Mailbox.t;
   overflow : (unit -> unit) Queue.t;
+  mutable d_running : bool;
 }
 
 (* --- reliable channels ---------------------------------------------------
@@ -118,8 +122,9 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   id
 
-let spawn_daemon t ~dst d =
-  Engine.spawn t.engine ~name:(Printf.sprintf "net-delivery-h%d" dst) (fun () ->
+let spawn_daemon t d =
+  d.d_running <- true;
+  Engine.spawn t.engine ~name:d.d_name (fun () ->
       let rec loop () =
         match Mailbox.try_recv d.dq with
         | Some thunk ->
@@ -134,21 +139,28 @@ let spawn_daemon t ~dst d =
           else
             (* Idle: exit so the engine can quiesce; the next delivery
                respawns us. No blocking point separates the emptiness
-               check from the removal, so no thunk can slip in between. *)
-            Hashtbl.remove t.deliveries dst
+               check from the flag, so no thunk can slip in between. *)
+            d.d_running <- false
       in
       loop ())
 
 let deliver_to t ~dst thunk =
-  match Hashtbl.find_opt t.deliveries dst with
-  | Some d ->
-    if Queue.is_empty d.overflow && Mailbox.send_timeout d.dq thunk ~timeout:0.0 then ()
-    else Queue.push thunk d.overflow
-  | None ->
-    let d = { dq = Mailbox.create ~capacity:delivery_queue_bound (); overflow = Queue.create () } in
-    Hashtbl.replace t.deliveries dst d;
-    ignore (Mailbox.send_timeout d.dq thunk ~timeout:0.0);
-    spawn_daemon t ~dst d
+  let d =
+    match Hashtbl.find_opt t.deliveries dst with
+    | Some d -> d
+    | None ->
+      let d =
+        { d_name = Printf.sprintf "net-delivery-h%d" dst;
+          dq = Mailbox.create ~capacity:delivery_queue_bound (); overflow = Queue.create ();
+          d_running = false }
+      in
+      Hashtbl.replace t.deliveries dst d;
+      d
+  in
+  (* An idle daemon left both queues empty, so this send fits. *)
+  if Queue.is_empty d.overflow && Mailbox.send_timeout d.dq thunk ~timeout:0.0 then ()
+  else Queue.push thunk d.overflow;
+  if not d.d_running then spawn_daemon t d
 
 let delivery_backlog t ~dst =
   match Hashtbl.find_opt t.deliveries dst with

@@ -106,22 +106,23 @@ type t = {
 }
 
 (* One record per simulated thread. [f_wake] is allocated once at spawn
-   and resumes the continuation parked in [f_sleeping], so a sleep
-   schedules no closure of its own. *)
+   and resumes the continuation parked in [f_parked], so neither a sleep
+   nor an unpark schedules a closure of its own. [f_ticket] numbers the
+   thread's parks: it moves on when a park ends, so a waiter still
+   holding the old number is stale. [f_timed_out] tells [park_timeout]
+   that its timer, not an unpark, ended the park. *)
 and fiber = {
   f_id : int;
   f_name : string;
   f_eng : t;
   mutable f_blocked : bool;
-  mutable f_sleeping : (unit, unit) Effect.Deep.continuation option;
+  mutable f_parked : (unit, unit) Effect.Deep.continuation option;
   mutable f_wake : unit -> unit;
+  mutable f_ticket : int;
+  mutable f_timed_out : bool;
 }
 
-type 'a resumer = 'a -> unit
-
-type _ Effect.t +=
-  | Suspend : (t -> 'a resumer -> unit) -> 'a Effect.t
-  | Sleep : unit Effect.t
+type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t
 
 let create () =
   { clock = { now_us = 0.0; wake_us = 0.0 }; seq = 0; heap = Heap.create (); live = 0;
@@ -130,8 +131,8 @@ let create () =
 (* The fiber the engine is currently resuming; [no_fiber] while a timer
    callback runs or outside [run]. *)
 let no_fiber =
-  { f_id = -1; f_name = ""; f_eng = create (); f_blocked = false; f_sleeping = None;
-    f_wake = Heap.nop }
+  { f_id = -1; f_name = ""; f_eng = create (); f_blocked = false; f_parked = None;
+    f_wake = Heap.nop; f_ticket = 0; f_timed_out = false }
 
 let current = ref no_fiber
 
@@ -154,25 +155,32 @@ let resume fib k v =
     current := prev;
     raise e
 
-let wake_sleeper fib () =
-  match fib.f_sleeping with
+let wake fib () =
+  match fib.f_parked with
   | Some k ->
-    fib.f_sleeping <- None;
+    fib.f_parked <- None;
     fib.f_blocked <- false;
     resume fib k ()
   | None -> ()
 
-(* Shared by every fiber: the handler reads the sleeper from [current]
-   and the deadline from the clock, so performing [Sleep] allocates no
-   handler closure. *)
+(* The two handlers are shared by every fiber: each reads the blocking
+   fiber from [current] (and a sleep's deadline from the clock), so
+   performing [Sleep] or [Park] allocates no handler closure. *)
 let on_sleep =
   Some
     (fun (k : (unit, unit) Effect.Deep.continuation) ->
       let fib = !current in
       let t = fib.f_eng in
       fib.f_blocked <- true;
-      fib.f_sleeping <- Some k;
+      fib.f_parked <- Some k;
       schedule t ~at:t.clock.wake_us fib.f_wake)
+
+let on_park =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let fib = !current in
+      fib.f_blocked <- true;
+      fib.f_parked <- Some k)
 
 let spawn t ?name f =
   let name =
@@ -186,10 +194,10 @@ let spawn t ?name f =
   let id = t.next_id in
   t.next_id <- id + 1;
   let fib =
-    { f_id = id; f_name = name; f_eng = t; f_blocked = false; f_sleeping = None;
-      f_wake = Heap.nop }
+    { f_id = id; f_name = name; f_eng = t; f_blocked = false; f_parked = None;
+      f_wake = Heap.nop; f_ticket = 0; f_timed_out = false }
   in
-  fib.f_wake <- wake_sleeper fib;
+  fib.f_wake <- wake fib;
   Hashtbl.replace t.fibers id fib;
   let start () =
     let open Effect.Deep in
@@ -207,13 +215,7 @@ let spawn t ?name f =
           (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
             match eff with
             | Sleep -> on_sleep
-            | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  fib.f_blocked <- true;
-                  register t (fun v ->
-                      fib.f_blocked <- false;
-                      schedule t ~at:t.clock.now_us (fun () -> resume fib k v)))
+            | Park -> on_park
             | _ -> None);
       }
   in
@@ -259,8 +261,6 @@ let blocked_names t =
   Hashtbl.fold (fun _ fib acc -> if fib.f_blocked then fib.f_name :: acc else acc) t.fibers []
   |> List.sort_uniq String.compare
 
-let suspend register = Effect.perform (Suspend register)
-
 let self_id () = !current.f_id
 
 let self_name () =
@@ -278,3 +278,46 @@ let sleep delay =
   Effect.perform Sleep
 
 let yield () = sleep 0.0
+
+let self () =
+  let fib = !current in
+  if fib == no_fiber then invalid_arg "Engine.self: not inside a simulated thread";
+  fib
+
+let ticket fib = fib.f_ticket
+let waiting fib ticket = fib.f_ticket = ticket
+
+(* End the current park: the wake event takes the (time, seq) slot a
+   resume would have, the current instant behind everything already
+   scheduled for it. *)
+let end_park fib =
+  let t = fib.f_eng in
+  fib.f_ticket <- fib.f_ticket + 1;
+  fib.f_blocked <- false;
+  schedule t ~at:t.clock.now_us fib.f_wake
+
+let park () = Effect.perform Park
+
+(* The timer is scheduled just before the park, and is a no-op if an
+   unpark ended this park first. *)
+let park_timeout timeout =
+  let fib = self () in
+  let t = fib.f_eng and ticket = fib.f_ticket in
+  schedule t
+    ~at:(t.clock.now_us +. timeout)
+    (fun () ->
+      if fib.f_ticket = ticket then begin
+        fib.f_timed_out <- true;
+        end_park fib
+      end);
+  Effect.perform Park;
+  if fib.f_timed_out then begin
+    fib.f_timed_out <- false;
+    false
+  end
+  else true
+
+let unpark fib ticket =
+  if fib.f_ticket <> ticket then invalid_arg "Engine.unpark: park already ended";
+  if Option.is_none fib.f_parked then invalid_arg "Engine.unpark: fiber not parked";
+  end_park fib

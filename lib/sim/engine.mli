@@ -3,9 +3,9 @@
     Simulated threads are OCaml-5 effect-based coroutines: a thread is an
     ordinary function that may call the blocking operations of this module
     ({!sleep}) and of the synchronisation modules ({!Ivar}, {!Mailbox},
-    {!Semaphore}, {!Waitq}). Blocking suspends the coroutine and registers
-    a wake-up; the engine runs ready events in (time, sequence) order, so a
-    run is fully deterministic.
+    {!Semaphore}, {!Waitq}). Blocking parks the coroutine until a
+    wake-up event resumes it; the engine runs ready events in (time,
+    sequence) order, so a run is fully deterministic.
 
     Simulated time is in microseconds (float). *)
 
@@ -36,7 +36,7 @@ val live : t -> int
     a deadlock or a wait on an external wake-up that never came. *)
 
 val blocked_names : t -> string list
-(** Names of currently-suspended threads — parked in {!sleep} or any
+(** Names of currently-blocked threads — parked in {!sleep} or any
     synchronisation wait (diagnostic, sorted). *)
 
 val self_id : unit -> int
@@ -62,12 +62,49 @@ val yield : unit -> unit
 (** Re-schedule the calling thread at the current time, letting other
     ready threads run first. *)
 
-(** {2 Internal plumbing for synchronisation primitives} *)
+(** {2 Internal plumbing for synchronisation primitives}
 
-type 'a resumer = 'a -> unit
-(** Resuming schedules the suspended thread at the current simulated time.
-    Must be called at most once. *)
+    A primitive blocks a thread by recording {!self} and its {!ticket}
+    in a waiter record of its own, then calling {!park} (or
+    {!park_timeout}). Whoever wakes it stores what it hands over (a
+    value, a flag, a processor) in that record and calls {!unpark}; the
+    woken thread reads the record after [park] returns. No closure is
+    allocated per wait: it costs the waiter record, the primitive's
+    queue cell and the parked continuation (and, with a timeout, the
+    timer).
 
-val suspend : (t -> 'a resumer -> unit) -> 'a
-(** [suspend register] blocks the calling thread; [register] receives the
-    engine and a one-shot resumer. *)
+    Each park ends exactly once, by an {!unpark} or by its timeout.
+    Ending it moves the fiber's ticket on, so a waiter left behind in a
+    queue by a timeout is stale: {!waiting} tells a waker to skip it,
+    and {!unpark} with it raises instead of cutting short whatever the
+    fiber does next. *)
+
+type fiber
+(** A simulated thread, as seen by the primitive that parks it. *)
+
+val self : unit -> fiber
+(** The calling simulated thread. Raises [Invalid_argument] outside
+    one. *)
+
+val ticket : fiber -> int
+(** The number of the fiber's next park — or its current one, while it
+    is parked. *)
+
+val waiting : fiber -> int -> bool
+(** [waiting fiber ticket]: the park [ticket] names has not ended yet. *)
+
+val park : unit -> unit
+(** Block the calling thread until some event calls {!unpark} on it. *)
+
+val park_timeout : float -> bool
+(** [park_timeout d] is {!park} with a timer [d] microseconds ahead,
+    scheduled just before the thread parks. [true] if an {!unpark}
+    ended the park, [false] if the timer did; the timer does nothing
+    once an unpark has. *)
+
+val unpark : fiber -> int -> unit
+(** [unpark fiber ticket] ends the park [ticket] names and schedules
+    the fiber to resume at the current simulated time, behind every
+    event already due at that instant. Raises [Invalid_argument] if
+    that park has already ended (check {!waiting} first where a
+    timeout may have won) or if the fiber is not parked. *)

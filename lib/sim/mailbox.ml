@@ -1,4 +1,8 @@
-type 'a waiter = { mutable fired : bool; wake : 'a -> unit }
+(* A parked receiver or sender. A peer or a close stores [result] and
+   unparks it: [Some v] or [None] for a receiver, whether its value was
+   accepted for a sender. A timeout leaves the initial [None]/[false],
+   and the waiter stays queued, stale, until a peer passes over it. *)
+type 'a waiter = { fiber : Engine.fiber; ticket : int; mutable result : 'a }
 
 type 'a t = {
   queue : 'a Queue.t;
@@ -19,6 +23,16 @@ let create ?capacity () =
   { queue = Queue.create (); cap = capacity; receivers = Queue.create (); senders = Queue.create ();
     closed = false }
 
+let waiter result =
+  let fiber = Engine.self () in
+  { fiber; ticket = Engine.ticket fiber; result }
+
+let live w = Engine.waiting w.fiber w.ticket
+
+let wake w result =
+  w.result <- result;
+  Engine.unpark w.fiber w.ticket
+
 let capacity t = t.cap
 let length t = Queue.length t.queue
 let is_empty t = Queue.is_empty t.queue
@@ -26,14 +40,14 @@ let is_empty t = Queue.is_empty t.queue
 let rec pop_live q =
   match Queue.take_opt q with
   | None -> None
-  | Some ((_, w) as entry) -> if w.fired then pop_live q else Some entry
+  | Some ((_, w) as entry) -> if live w then Some entry else pop_live q
 
 let rec pop_live_receiver q =
   match Queue.take_opt q with
   | None -> None
-  | Some w -> if w.fired then pop_live_receiver q else Some w
+  | Some w -> if live w then Some w else pop_live_receiver q
 
-let waiters t = Queue.fold (fun n w -> if w.fired then n else n + 1) 0 t.receivers
+let waiters t = Queue.fold (fun n w -> if live w then n + 1 else n) 0 t.receivers
 
 let has_room t =
   match t.cap with None -> true | Some c -> Queue.length t.queue < c
@@ -45,8 +59,7 @@ let admit_blocked_sender t =
     | None -> ()
     | Some (v, w) ->
       Queue.add v t.queue;
-      w.fired <- true;
-      w.wake true
+      wake w true
 
 let set_capacity t cap =
   (match cap with
@@ -61,8 +74,7 @@ let set_capacity t cap =
       | None -> continue_admitting := false
       | Some (v, w) ->
         Queue.add v t.queue;
-        w.fired <- true;
-        w.wake true
+        wake w true
     end
     else continue_admitting := false
   done
@@ -70,8 +82,7 @@ let set_capacity t cap =
 let deliver_direct t v =
   match pop_live_receiver t.receivers with
   | Some w ->
-    w.fired <- true;
-    w.wake (Some v);
+    wake w (Some v);
     true
   | None -> false
 
@@ -84,37 +95,27 @@ let send_timeout t v ~timeout =
   end
   else if timeout <= 0.0 then false
   else begin
-    let accepted =
-      Engine.suspend (fun eng k ->
-          let w = { fired = false; wake = k } in
-          Queue.add (v, w) t.senders;
-          Engine.schedule eng
-            ~at:(Engine.now eng +. timeout)
-            (fun () ->
-              if not w.fired then begin
-                w.fired <- true;
-                w.wake false
-              end))
-    in
-    if (not accepted) && t.closed then raise Closed;
-    accepted
+    let w = waiter false in
+    Queue.add (v, w) t.senders;
+    ignore (Engine.park_timeout timeout);
+    if (not w.result) && t.closed then raise Closed;
+    w.result
   end
 
 let send t v =
   check_open t;
   if deliver_direct t v then ()
   else if has_room t then Queue.add v t.queue
-  else
-    let accepted =
-      Engine.suspend (fun _eng k ->
-          let w = { fired = false; wake = k } in
-          Queue.add (v, w) t.senders)
-    in
-    if not accepted then begin
+  else begin
+    let w = waiter false in
+    Queue.add (v, w) t.senders;
+    Engine.park ();
+    if not w.result then begin
       (* Only a close can refuse an untimed send. *)
       assert t.closed;
       raise Closed
     end
+  end
 
 let try_recv t =
   check_open t;
@@ -126,8 +127,7 @@ let try_recv t =
     (* A blocked sender's message can bypass an empty queue. *)
     match pop_live t.senders with
     | Some (v, w) ->
-      w.fired <- true;
-      w.wake true;
+      wake w true;
       Some v
     | None -> None)
 
@@ -135,12 +135,10 @@ let recv t =
   match try_recv t with
   | Some v -> v
   | None -> (
-    let r =
-      Engine.suspend (fun _eng k ->
-          let w = { fired = false; wake = k } in
-          Queue.add w t.receivers)
-    in
-    match r with
+    let w = waiter None in
+    Queue.add w t.receivers;
+    Engine.park ();
+    match w.result with
     | Some v -> v
     | None ->
       assert t.closed;
@@ -151,42 +149,23 @@ let recv_timeout t ~timeout =
   | Some v -> Some v
   | None ->
     if timeout <= 0.0 then None
-    else
-      match
-        Engine.suspend (fun eng k ->
-            let w = { fired = false; wake = k } in
-            Queue.add w t.receivers;
-            Engine.schedule eng
-              ~at:(Engine.now eng +. timeout)
-              (fun () ->
-                if not w.fired then begin
-                  w.fired <- true;
-                  w.wake None
-                end))
-      with
+    else begin
+      let w = waiter None in
+      Queue.add w t.receivers;
+      ignore (Engine.park_timeout timeout);
+      match w.result with
       | Some v -> Some v
       | None -> if t.closed then raise Closed else None
+    end
 
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Queue.clear t.queue;
-    Queue.iter
-      (fun w ->
-        if not w.fired then begin
-          w.fired <- true;
-          w.wake None
-        end)
-      t.receivers;
+    Queue.iter (fun w -> if live w then wake w None) t.receivers;
     Queue.clear t.receivers;
-    Queue.iter
-      (fun (_, w) ->
-        if not w.fired then begin
-          w.fired <- true;
-          w.wake false
-        end)
-      t.senders;
+    Queue.iter (fun (_, w) -> if live w then wake w false) t.senders;
     Queue.clear t.senders
   end
 

@@ -69,7 +69,9 @@ let no_thread = -1
 
 type reservation = { r_ticket : int; mutable r_for : int }
 
-type waiter = { w_id : int; w_wake : cpu -> unit }
+(* A thread parked on a run queue; its dispatcher stores the processor
+   it hands over in [w_cpu] before unparking it. *)
+type waiter = { w_id : int; w_fib : Engine.fiber; w_park : int; mutable w_cpu : cpu }
 
 and cpu = {
   c_id : int;
@@ -141,6 +143,7 @@ let running_cpu t id =
   done;
   if id <> no_thread && !i < n then !i else -1
 
+
 let trace_point t label =
   match t.trace with
   | Some tr when Trace.enabled tr -> Trace.point tr ~subsystem:"sched" label
@@ -175,28 +178,33 @@ let longest_runq t =
   done;
   !best
 
+(* Queue the calling thread [id] on [cpu]'s run queue, to park. *)
+let enqueue cpu id =
+  let fib = Engine.self () in
+  let w = { w_id = id; w_fib = fib; w_park = Engine.ticket fib; w_cpu = cpu } in
+  Queue.add w cpu.c_runq;
+  w
+
+let hand_over t cpu w =
+  cpu.c_running <- w.w_id;
+  Metrics.incr t.stats.s_switches;
+  w.w_cpu <- cpu;
+  Engine.unpark w.w_fib w.w_park
+
 (* Give an idle CPU its next thread: local queue first, then steal the
    oldest waiter from the longest queue elsewhere. Both paths are run-
    queue dispatches and count a context switch (charged by the woken
    thread). Reserved CPUs are skipped — they are held for a handoff. *)
 let dispatch t cpu =
   if cpu.c_reserved = None then begin
-    if not (Queue.is_empty cpu.c_runq) then begin
-      let w = Queue.take cpu.c_runq in
-      cpu.c_running <- w.w_id;
-      Metrics.incr t.stats.s_switches;
-      w.w_wake cpu
-    end
+    if not (Queue.is_empty cpu.c_runq) then hand_over t cpu (Queue.take cpu.c_runq)
     else
       match longest_runq t with
       | -1 -> check_idle_invariant t
       | victim ->
-        let w = Queue.take t.cpus.(victim).c_runq in
-        cpu.c_running <- w.w_id;
-        Metrics.incr t.stats.s_switches;
         Metrics.incr t.stats.s_steals;
         Metrics.incr t.stats.s_migrations;
-        w.w_wake cpu
+        hand_over t cpu (Queue.take t.cpus.(victim).c_runq)
   end
 
 let note_affinity t cpu id =
@@ -268,10 +276,9 @@ let acquire t id =
         let depth = queued t + 1 in
         Metrics.add t.stats.s_queue_depth_sum depth;
         Metrics.raise_to t.stats.s_queue_depth_peak depth;
-        let cpu =
-          Engine.suspend (fun _eng k -> Queue.add { w_id = id; w_wake = k } target.c_runq)
-        in
-        (cpu, Entry_queued)
+        let w = enqueue target id in
+        Engine.park ();
+        (w.w_cpu, Entry_queued)
       | c ->
         take t t.cpus.(c) id;
         if home >= 0 then Metrics.incr t.stats.s_migrations;
@@ -293,18 +300,18 @@ let rec run_burst t cpu id remaining =
   if remaining <= 0.0 then release t cpu id
   else if Queue.length cpu.c_runq > 0 then begin
     (* Quantum expired with local contention: preempt. Requeue at the
-       tail first so the dispatch below picks the earlier waiter. *)
+       tail first so the dispatch below picks the earlier waiter, then
+       park; no event runs before the park, so whoever dispatch woke
+       resumes only after it. *)
     Metrics.incr t.stats.s_preemptions;
     trace_point t "preempt";
     note_affinity t cpu id;
-    let cpu' =
-      Engine.suspend (fun _eng k ->
-          Queue.add { w_id = id; w_wake = k } cpu.c_runq;
-          cpu.c_running <- no_thread;
-          dispatch t cpu)
-    in
-    charge_switch t cpu';
-    run_burst t cpu' id remaining
+    let w = enqueue cpu id in
+    cpu.c_running <- no_thread;
+    dispatch t cpu;
+    Engine.park ();
+    charge_switch t w.w_cpu;
+    run_burst t w.w_cpu id remaining
   end
   else run_burst t cpu id remaining
 

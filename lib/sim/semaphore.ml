@@ -1,4 +1,4 @@
-type waiter = { n : int; wake : unit -> unit }
+type waiter = { n : int; fiber : Engine.fiber; ticket : int }
 type t = { mutable avail : int; waiting : waiter Queue.t }
 
 let create permits =
@@ -16,14 +16,17 @@ let drain t =
     | Some w when w.n <= t.avail ->
       ignore (Queue.take t.waiting);
       t.avail <- t.avail - w.n;
-      w.wake ()
+      Engine.unpark w.fiber w.ticket
     | Some _ | None -> continue_draining := false
   done
 
 let acquire ?(n = 1) t =
   if Queue.is_empty t.waiting && t.avail >= n then t.avail <- t.avail - n
-  else
-    Engine.suspend (fun _eng k -> Queue.add { n; wake = (fun () -> k ()) } t.waiting)
+  else begin
+    let fiber = Engine.self () in
+    Queue.add { n; fiber; ticket = Engine.ticket fiber } t.waiting;
+    Engine.park ()
+  end
 
 let try_acquire ?(n = 1) t =
   if Queue.is_empty t.waiting && t.avail >= n then begin

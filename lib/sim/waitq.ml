@@ -1,48 +1,35 @@
-type waiter = { mutable fired : bool; wake : bool -> unit }
+(* A parked thread. A timed-out waiter stays queued until a signal
+   reaches it; its park has ended by then, so the signal passes on. *)
+type waiter = { fiber : Engine.fiber; ticket : int }
 type t = { queue : waiter Queue.t }
 
 let create () = { queue = Queue.create () }
-let waiters t = Queue.fold (fun n w -> if w.fired then n else n + 1) 0 t.queue
+let live w = Engine.waiting w.fiber w.ticket
+let waiters t = Queue.fold (fun n w -> if live w then n + 1 else n) 0 t.queue
+
+let enqueue t =
+  let fiber = Engine.self () in
+  Queue.add { fiber; ticket = Engine.ticket fiber } t.queue
 
 let wait t =
-  let woken =
-    Engine.suspend (fun _eng k ->
-        let w = { fired = false; wake = k } in
-        Queue.add w t.queue)
-  in
-  assert woken
+  enqueue t;
+  Engine.park ()
 
 let wait_timeout t ~timeout =
-  Engine.suspend (fun eng k ->
-      let w = { fired = false; wake = k } in
-      Queue.add w t.queue;
-      Engine.schedule eng
-        ~at:(Engine.now eng +. timeout)
-        (fun () ->
-          if not w.fired then begin
-            w.fired <- true;
-            w.wake false
-          end))
+  enqueue t;
+  Engine.park_timeout timeout
 
 let rec signal t =
   match Queue.take_opt t.queue with
   | None -> ()
-  | Some w ->
-    if w.fired then signal t
-    else begin
-      w.fired <- true;
-      w.wake true
-    end
+  | Some w -> if live w then Engine.unpark w.fiber w.ticket else signal t
 
 let broadcast t =
   let rec drain () =
     match Queue.take_opt t.queue with
     | None -> ()
     | Some w ->
-      if not w.fired then begin
-        w.fired <- true;
-        w.wake true
-      end;
+      if live w then Engine.unpark w.fiber w.ticket;
       drain ()
   in
   drain ()

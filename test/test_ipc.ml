@@ -556,6 +556,48 @@ let test_remote_burst_single_daemon () =
   check Alcotest.int "daemon drained its backlog" 0 (Context.delivery_backlog ctx ~dst:1);
   check Alcotest.int "daemon exited when idle" 0 (Engine.live eng)
 
+let test_delivery_daemon_respawns () =
+  (* The per-destination daemon exits whenever it goes idle and the
+     next burst restarts it: two bursts separated by an idle gap both
+     arrive in order, and nothing is left running after either. *)
+  let eng, _, ctx = make_ctx () in
+  let sp = Port_space.create ctx ~home:1 in
+  let n = Port_space.allocate sp ~backlog:4 () in
+  let p = Port_space.lookup_exn sp n in
+  let burst_size = 10 in
+  let burst ~first =
+    let received = ref [] in
+    let start = Engine.now eng in
+    Engine.spawn eng ~name:"sender" (fun () ->
+        let nd = node ~host:0 () in
+        Engine.sleep 1000.0;
+        for i = first to first + burst_size - 1 do
+          ignore (Transport.send nd (Message.make ~dest:p [ data (string_of_int i) ]))
+        done);
+    Engine.spawn eng ~name:"receiver" (fun () ->
+        let nd = node ~host:1 () in
+        Engine.sleep 1000.0;
+        for _ = 1 to burst_size do
+          (* Slow consumer: the port queue fills and the daemon blocks. *)
+          Engine.sleep 500.0;
+          match Transport.receive nd sp ~from:(`Port n) () with
+          | Ok msg -> received := Bytes.to_string (Message.data_exn msg) :: !received
+          | Error _ -> ()
+        done);
+    (* Mid-burst the daemon is blocked on the full port queue. *)
+    Engine.run ~until:(start +. 3000.0) eng;
+    check Alcotest.bool "daemon running mid-burst" true
+      (List.mem "net-delivery-h1" (Engine.blocked_names eng));
+    Engine.run eng;
+    check Alcotest.(list string) "burst in order"
+      (List.init burst_size (fun i -> string_of_int (first + i)))
+      (List.rev !received);
+    check Alcotest.int "backlog drained" 0 (Context.delivery_backlog ctx ~dst:1);
+    check Alcotest.int "daemon exited when idle" 0 (Engine.live eng)
+  in
+  burst ~first:1;
+  burst ~first:(1 + burst_size)
+
 (* qcheck: per-port FIFO — any interleaving of sends from multiple
    senders is received in a per-sender order-preserving sequence. *)
 let fifo_prop =
@@ -657,5 +699,7 @@ let () =
           Alcotest.test_case "rpc fastpath counter" `Quick test_rpc_fastpath_counter;
           Alcotest.test_case "remote burst through one daemon" `Quick
             test_remote_burst_single_daemon;
+          Alcotest.test_case "delivery daemon respawns after idle" `Quick
+            test_delivery_daemon_respawns;
         ] );
     ]

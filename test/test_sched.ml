@@ -201,6 +201,80 @@ let test_compute_allocation () =
   Engine.run eng;
   if !words > 40.0 then Alcotest.failf "compute allocates %.1f words (bound 40)" !words
 
+(* Two threads contending for one CPU: every burst enqueues, parks on
+   the run queue and is dispatched by the other's release. Words per
+   pair of bursts, one of each thread. *)
+let test_contended_compute_allocation () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:5.0 () in
+  for i = 1 to 1000 do
+    Engine.schedule eng ~at:(1e9 +. float_of_int i) ignore
+  done;
+  let n = 10_000 and words = ref nan and stop = ref false in
+  Engine.spawn eng ~name:"partner" (fun () ->
+      while not !stop do
+        Sched.compute s 10.0
+      done);
+  Engine.spawn eng ~name:"measured" (fun () ->
+      Sched.compute s 10.0;
+      let calibrate = Gc.minor_words () in
+      let overhead = Gc.minor_words () -. calibrate in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Sched.compute s 10.0
+      done;
+      words := (Gc.minor_words () -. before -. overhead) /. float_of_int n;
+      stop := true);
+  Engine.run eng;
+  check Alcotest.bool "every burst queued" true
+    (Metrics.value (Sched.stats s).Sched.s_enqueues >= 2 * n);
+  if !words > 80.0 then
+    Alcotest.failf "contended compute pair allocates %.1f words (bound 80)" !words
+
+(* A preempted burst parks on its run queue; the processor it resumes
+   on is the one dispatch handed it, not the one it left — here a CPU
+   that went idle and stole it. *)
+let test_preempted_resumes_on_dispatched_cpu () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:2 ~quantum_us:100.0 ~context_switch_us:0.0 () in
+  let id_a = ref (-1) and a_done = ref 0.0 in
+  (* a takes CPU 0 and c CPU 1; b queues on CPU 0 and preempts a at
+     t=100; c finishes at 150 and CPU 1 steals a. *)
+  Engine.spawn eng ~name:"a" (fun () ->
+      id_a := Engine.self_id ();
+      Sched.compute s 1000.0;
+      a_done := Engine.now eng);
+  Engine.spawn eng ~name:"c" (fun () -> Sched.compute s 150.0);
+  Engine.spawn eng ~name:"b" (fun () -> Sched.compute s 500.0);
+  let seen = ref [] in
+  List.iter
+    (fun at ->
+      Engine.schedule eng ~at (fun () -> seen := (at, Sched.running_cpu s !id_a) :: !seen))
+    [ 50.0; 120.0; 160.0 ];
+  Engine.run eng;
+  check
+    Alcotest.(list (pair (float 1e-9) int))
+    "CPU 0, queued, then CPU 1"
+    [ (50.0, 0); (120.0, -1); (160.0, 1) ]
+    (List.rev !seen);
+  check (Alcotest.float 1e-9) "ran its remaining 900us on CPU 1" 1050.0 !a_done;
+  let st = Sched.stats s in
+  check Alcotest.int "one preemption" 1 (Metrics.value st.Sched.s_preemptions);
+  check Alcotest.int "one steal" 1 (Metrics.value st.Sched.s_steals)
+
+let test_blocked_names_run_queue () =
+  let eng = Engine.create () in
+  let s = Sched.create eng ~cpus:1 ~quantum_us:10_000.0 ~context_switch_us:0.0 () in
+  Engine.spawn eng ~name:"running" (fun () -> Sched.compute s 100.0);
+  Engine.spawn eng ~name:"queued" (fun () -> Sched.compute s 100.0);
+  Engine.run ~until:50.0 eng;
+  (* The running burst sleeps through its slice, so it is listed too. *)
+  check Alcotest.(list string) "parked on the run queue" [ "queued"; "running" ]
+    (Engine.blocked_names eng);
+  check Alcotest.int "one queued" 1 (Sched.queued s);
+  Engine.run eng;
+  check Alcotest.(list string) "all done" [] (Engine.blocked_names eng)
+
 (* ---- no-starvation / work-stealing property ------------------------------ *)
 
 (* Random fleets of threads with random burst plans on random CPU
@@ -356,6 +430,11 @@ let () =
           Alcotest.test_case "handoff claimed by thread id" `Quick test_handoff_claim_by_id;
           Alcotest.test_case "running cpu by thread id" `Quick test_running_cpu_by_id;
           Alcotest.test_case "compute allocation bound" `Quick test_compute_allocation;
+          Alcotest.test_case "contended compute allocation bound" `Quick
+            test_contended_compute_allocation;
+          Alcotest.test_case "preempted burst resumes on the dispatched CPU" `Quick
+            test_preempted_resumes_on_dispatched_cpu;
+          Alcotest.test_case "blocked names: run queue" `Quick test_blocked_names_run_queue;
           QCheck_alcotest.to_alcotest no_starvation_prop;
         ] );
       ( "ipc-handoff",

@@ -161,12 +161,25 @@ let test_self_outside_fibers () =
    [n] calls (after one warm-up call), net of [Gc.minor_words]'s own
    boxing. Includes the engine's share: event push, pop and resume, on
    a heap holding a thousand pending timers, so that sifting through
-   its levels is counted too. *)
-let words_per_call ?(n = 10_000) f =
+   its levels is counted too. With [partner], a second fiber runs it
+   forever (it must block once per round) and each call of [f] is a
+   ping-pong round of two wait/wake cycles, one per fiber: the figure
+   is then per cycle, and the partner is left parked at the end. *)
+let words_per_call ?(n = 10_000) ?partner f =
   let eng = Engine.create () in
   for i = 1 to 1000 do
     Engine.schedule eng ~at:(1e9 +. float_of_int i) ignore
   done;
+  let cycles_per_call =
+    match partner with
+    | None -> 1
+    | Some p ->
+      Engine.spawn eng ~name:"partner" (fun () ->
+          while true do
+            p ()
+          done);
+      2
+  in
   let words = ref nan in
   Engine.spawn eng ~name:"measured" (fun () ->
       f ();
@@ -176,7 +189,7 @@ let words_per_call ?(n = 10_000) f =
       for _ = 1 to n do
         f ()
       done;
-      words := (Gc.minor_words () -. before -. overhead) /. float_of_int n);
+      words := (Gc.minor_words () -. before -. overhead) /. float_of_int (cycles_per_call * n));
   Engine.run eng;
   !words
 
@@ -189,6 +202,35 @@ let test_self_name_allocates_nothing () =
   check (Alcotest.float 0.0) "self_name words" 0.0 w;
   let w = words_per_call (fun () -> ignore (Sys.opaque_identity (Engine.self_id ()))) in
   check (Alcotest.float 0.0) "self_id words" 0.0 w
+
+let test_waitq_allocation () =
+  let ping = Waitq.create () and pong = Waitq.create () in
+  let w =
+    words_per_call
+      ~partner:(fun () ->
+        Waitq.wait ping;
+        Waitq.signal pong)
+      (fun () ->
+        Waitq.signal ping;
+        Waitq.wait pong)
+  in
+  if w > 24.0 then Alcotest.failf "Waitq wait+signal allocates %.1f words (bound 24)" w;
+  let q = Waitq.create () in
+  let w = words_per_call (fun () -> ignore (Waitq.wait_timeout q ~timeout:1.0)) in
+  if w > 28.0 then Alcotest.failf "fired wait_timeout allocates %.1f words (bound 28)" w
+
+let test_mailbox_recv_allocation () =
+  let ping = Mailbox.create () and pong = Mailbox.create () in
+  let w =
+    words_per_call
+      ~partner:(fun () ->
+        Mailbox.recv ping;
+        Mailbox.send pong ())
+      (fun () ->
+        Mailbox.send ping ();
+        Mailbox.recv pong)
+  in
+  if w > 28.0 then Alcotest.failf "blocking Mailbox.recv+send allocates %.1f words (bound 28)" w
 
 (* qcheck: arbitrary programs of spawns/sleeps/sends produce identical
    traces on re-execution — the engine is deterministic by
@@ -507,6 +549,180 @@ let test_waitq_timeout () =
   Engine.run eng;
   Alcotest.(check bool) "timed out" false !result
 
+(* ---- park / unpark ------------------------------------------------------ *)
+
+(* A signal and a timeout landing at the same instant: whichever event
+   runs first decides the answer, and the waiter resumes exactly once —
+   a second wake-up would cut its next sleep short. *)
+let test_waitq_timeout_signal_same_instant () =
+  let run ~signal_first =
+    let eng = Engine.create () in
+    let wq = Waitq.create () in
+    let result = ref None and resumed = ref 0 and slept_until = ref 0.0 in
+    let signaller () =
+      Engine.sleep 10.0;
+      Waitq.signal wq
+    in
+    (* Spawned earlier, the signaller's wake-up takes an earlier seq
+       than the waiter's timer at t=10, and runs first. *)
+    if signal_first then Engine.spawn eng ~name:"signaller" signaller;
+    Engine.spawn eng ~name:"waiter" (fun () ->
+        result := Some (Waitq.wait_timeout wq ~timeout:10.0);
+        incr resumed;
+        Engine.sleep 5.0;
+        slept_until := Engine.now eng);
+    if not signal_first then Engine.spawn eng ~name:"signaller" signaller;
+    Engine.run eng;
+    check Alcotest.int "resumed once" 1 !resumed;
+    check (Alcotest.float 1e-9) "the next sleep ran its full length" 15.0 !slept_until;
+    check Alcotest.int "nobody left parked" 0 (Engine.live eng);
+    !result
+  in
+  check Alcotest.(option bool) "signal first wins" (Some true) (run ~signal_first:true);
+  check Alcotest.(option bool) "timer first wins" (Some false) (run ~signal_first:false)
+
+(* [read_timeout] answers by which event came first, not by the cell's
+   state when the reader resumes: an expiry that ran before a fill at
+   the same instant still reads [None]. *)
+let test_ivar_timeout_fill_same_instant () =
+  let run ~fill_first =
+    let eng = Engine.create () in
+    let iv = Ivar.create () in
+    let result = ref (Some (-1)) and resumed = ref 0 in
+    let filler () =
+      Engine.sleep 10.0;
+      Ivar.fill iv 42
+    in
+    if fill_first then Engine.spawn eng ~name:"filler" filler;
+    Engine.spawn eng ~name:"reader" (fun () ->
+        result := Ivar.read_timeout iv ~timeout:10.0;
+        incr resumed;
+        Engine.sleep 5.0);
+    if not fill_first then Engine.spawn eng ~name:"filler" filler;
+    Engine.run eng;
+    check Alcotest.int "resumed once" 1 !resumed;
+    check (Alcotest.float 1e-9) "the next sleep ran its full length" 15.0 (Engine.now eng);
+    !result
+  in
+  check Alcotest.(option int) "fill first" (Some 42) (run ~fill_first:true);
+  check Alcotest.(option int) "expiry first" None (run ~fill_first:false)
+
+let test_mailbox_close_wakes_parked () =
+  let eng = Engine.create () in
+  let inbox : int Mailbox.t = Mailbox.create () in
+  let full : int Mailbox.t = Mailbox.create ~capacity:1 () in
+  Mailbox.send full 0;
+  let outcomes = ref [] in
+  let expect_closed name f =
+    Engine.spawn eng ~name (fun () ->
+        match f () with
+        | () -> outcomes := (name, "returned") :: !outcomes
+        | exception Mailbox.Closed -> outcomes := (name, "closed") :: !outcomes)
+  in
+  expect_closed "recv" (fun () -> ignore (Mailbox.recv inbox));
+  expect_closed "recv_timeout" (fun () -> ignore (Mailbox.recv_timeout inbox ~timeout:100.0));
+  expect_closed "send" (fun () -> Mailbox.send full 1);
+  expect_closed "send_timeout" (fun () -> ignore (Mailbox.send_timeout full 2 ~timeout:100.0));
+  Engine.spawn eng ~name:"closer" (fun () ->
+      Engine.sleep 10.0;
+      check Alcotest.int "receivers parked" 2 (Mailbox.waiters inbox);
+      Mailbox.close inbox;
+      Mailbox.close full);
+  Engine.run eng;
+  check
+    Alcotest.(list (pair string string))
+    "every parked thread raised Closed"
+    [ ("recv", "closed"); ("recv_timeout", "closed"); ("send", "closed");
+      ("send_timeout", "closed") ]
+    (List.sort compare !outcomes);
+  check (Alcotest.float 1e-9) "the stale timeouts still ran, as no-ops" 100.0 (Engine.now eng);
+  check Alcotest.int "nobody left parked" 0 (Engine.live eng)
+
+let test_blocked_names_every_primitive () =
+  let eng = Engine.create () in
+  let wq = Waitq.create () and iv : unit Ivar.t = Ivar.create () in
+  let inbox : unit Mailbox.t = Mailbox.create () in
+  let full = Mailbox.create ~capacity:0 () in
+  let sem = Semaphore.create 0 in
+  Engine.spawn eng ~name:"waitq" (fun () -> Waitq.wait wq);
+  Engine.spawn eng ~name:"waitq-timeout" (fun () -> ignore (Waitq.wait_timeout wq ~timeout:1e6));
+  Engine.spawn eng ~name:"ivar" (fun () -> Ivar.read iv);
+  Engine.spawn eng ~name:"ivar-timeout" (fun () -> ignore (Ivar.read_timeout iv ~timeout:1e6));
+  Engine.spawn eng ~name:"recv" (fun () -> Mailbox.recv inbox);
+  Engine.spawn eng ~name:"send" (fun () -> Mailbox.send full ());
+  Engine.spawn eng ~name:"semaphore" (fun () -> Semaphore.acquire sem);
+  Engine.spawn eng ~name:"runner" (fun () -> Engine.sleep 1.0);
+  Engine.run ~until:10.0 eng;
+  check
+    Alcotest.(list string)
+    "every parked thread is listed, the finished one is not"
+    [ "ivar"; "ivar-timeout"; "recv"; "semaphore"; "send"; "waitq"; "waitq-timeout" ]
+    (Engine.blocked_names eng);
+  Waitq.broadcast wq;
+  Ivar.fill iv ();
+  Engine.run ~until:20.0 eng;
+  check Alcotest.(list string) "woken threads drop out" [ "recv"; "semaphore"; "send" ]
+    (Engine.blocked_names eng)
+
+(* The park contract, at the engine: each park ends once, by an unpark
+   or its timeout, and a late or repeated unpark raises instead of
+   waking the fiber out of whatever it does next. *)
+let test_park_ends_once () =
+  let eng = Engine.create () in
+  let fib = ref None and ticket = ref (-1) and outcomes = ref [] in
+  let raises f =
+    match f () with () -> "woke" | exception Invalid_argument msg -> msg
+  in
+  let unpark_at at =
+    Engine.schedule eng ~at (fun () ->
+        let f = Option.get !fib in
+        let live = Engine.waiting f !ticket in
+        outcomes := (at, live, raises (fun () -> Engine.unpark f !ticket)) :: !outcomes)
+  in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      let f = Engine.self () in
+      fib := Some f;
+      ticket := Engine.ticket f;
+      (* Timer at 10 beats the unpark at 20. *)
+      check Alcotest.bool "timed out" false (Engine.park_timeout 10.0);
+      check (Alcotest.float 1e-9) "at the deadline" 10.0 (Engine.now eng);
+      Engine.sleep 20.0;
+      check (Alcotest.float 1e-9) "the stale unpark left the sleep alone" 30.0 (Engine.now eng);
+      (* Unparked at 40, twice; the timer at 130 finds the park over. *)
+      ticket := Engine.ticket f;
+      check Alcotest.bool "unparked" true (Engine.park_timeout 100.0);
+      check (Alcotest.float 1e-9) "at the unpark" 40.0 (Engine.now eng);
+      Engine.sleep 200.0;
+      check (Alcotest.float 1e-9) "the stale timer left the sleep alone" 240.0 (Engine.now eng));
+  unpark_at 20.0;
+  unpark_at 40.0;
+  unpark_at 40.0;
+  Engine.run eng;
+  check
+    Alcotest.(list (triple (float 1e-9) bool string))
+    "only the live unpark woke the fiber"
+    [ (20.0, false, "Engine.unpark: park already ended"); (40.0, true, "woke");
+      (40.0, false, "Engine.unpark: park already ended") ]
+    (List.rev !outcomes);
+  check Alcotest.int "finished" 0 (Engine.live eng)
+
+let test_unpark_before_park () =
+  let eng = Engine.create () in
+  let outcome = ref "" in
+  Engine.spawn eng ~name:"runner" (fun () ->
+      let f = Engine.self () in
+      outcome :=
+        match Engine.unpark f (Engine.ticket f) with
+        | () -> "woke"
+        | exception Invalid_argument msg -> msg);
+  Engine.run eng;
+  check Alcotest.string "refused" "Engine.unpark: fiber not parked" !outcome
+
+let test_self_outside_a_thread () =
+  Alcotest.check_raises "self outside a thread"
+    (Invalid_argument "Engine.self: not inside a simulated thread") (fun () ->
+      ignore (Engine.self ()))
+
 let () =
   Alcotest.run "sim"
     [
@@ -529,6 +745,23 @@ let () =
           Alcotest.test_case "sleep allocation bound" `Quick test_sleep_allocation;
           Alcotest.test_case "self_name allocates nothing" `Quick
             test_self_name_allocates_nothing;
+          Alcotest.test_case "waitq allocation bound" `Quick test_waitq_allocation;
+          Alcotest.test_case "mailbox recv allocation bound" `Quick
+            test_mailbox_recv_allocation;
+        ] );
+      ( "park",
+        [
+          Alcotest.test_case "wait_timeout: signal and timer at one instant" `Quick
+            test_waitq_timeout_signal_same_instant;
+          Alcotest.test_case "read_timeout: fill and expiry at one instant" `Quick
+            test_ivar_timeout_fill_same_instant;
+          Alcotest.test_case "close wakes parked receivers and senders" `Quick
+            test_mailbox_close_wakes_parked;
+          Alcotest.test_case "blocked names: every primitive" `Quick
+            test_blocked_names_every_primitive;
+          Alcotest.test_case "each park ends once" `Quick test_park_ends_once;
+          Alcotest.test_case "unpark before park" `Quick test_unpark_before_park;
+          Alcotest.test_case "self outside a thread" `Quick test_self_outside_a_thread;
         ] );
       ( "ivar",
         [
