@@ -95,10 +95,7 @@ type experiment = {
   id : string;  (** e.g. "E4" *)
   title : string;
   paper_claim : string;
-  run : unit -> Table.t list;
-  quick : unit -> unit;  (** scaled-down body for bechamel *)
-  json : (unit -> (string * float) list) option;
-      (** machine-readable metrics for [--json] (self-contained run,
-          modest parameters); [None] for experiments without a stable
-          numeric summary *)
+  run : unit -> Table.t list * (string * float) list;
+      (** one execution: the tables it prints and the flat metrics
+          [--json] writes and the gates read *)
 }

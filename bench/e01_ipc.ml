@@ -9,8 +9,9 @@ let null_msg ~dest ?reply () =
   Message.make ?reply ~dest [ Message.Data (Bytes.create 32) ]
 
 let rpc_sizes = [ 32; 256; 1024; 4096 ]
+let rounds = 200
 
-let run_body ~rounds =
+let run_body () =
   run_system (fun sys task ->
       let engine = sys.Kernel.engine in
       let server = Task.create sys.Kernel.kernel ~name:"echo" () in
@@ -90,24 +91,25 @@ let run_body ~rounds =
             (size, per t))
           rpc_sizes
       in
+      (* Each row: table label, metric key, per-operation cost. *)
       let ops =
         [
-          ("msg_send (32-byte message, one way)", per send_us);
-          ("msg_receive", per recv_us);
-          ("msg_rpc (round trip)", per rpc_us);
-          ("port_allocate + port_deallocate", per port_us);
-          ("port_status", per status_us);
+          ("msg_send (32-byte message, one way)", "msg_send_us", per send_us);
+          ("msg_receive", "msg_receive_us", per recv_us);
+          ("msg_rpc (round trip)", "msg_rpc_us", per rpc_us);
+          ("port_allocate + port_deallocate", "port_alloc_dealloc_us", per port_us);
+          ("port_status", "port_status_us", per status_us);
         ]
       in
       (ops, rpc_by_size, ipc_counters sys.Kernel.kernel))
 
 let run () =
-  let ops, rpc_by_size, counters = run_body ~rounds:200 in
+  let ops, rpc_by_size, counters = run_body () in
   let t =
     Table.create ~title:"E1: IPC primitive operations (Table 3-1/3-2)"
       ~columns:[ "operation"; "simulated us" ]
   in
-  List.iter (fun (op, v) -> Table.row t [ op; us v ]) ops;
+  List.iter (fun (op, _, v) -> Table.row t [ op; us v ]) ops;
   let t2 =
     Table.create ~title:"E1: msg_rpc round trip by inline payload size"
       ~columns:[ "payload"; "round trip us" ]
@@ -120,21 +122,10 @@ let run () =
       ~columns:[ "counter"; "value" ]
   in
   List.iter (fun (k, v) -> Table.row t3 [ k; string_of_int v ]) counters;
-  [ t; t2; t3 ]
-
-let json () =
-  let ops, rpc_by_size, counters = run_body ~rounds:50 in
-  let op_key = function
-    | "msg_send (32-byte message, one way)" -> "msg_send_us"
-    | "msg_receive" -> "msg_receive_us"
-    | "msg_rpc (round trip)" -> "msg_rpc_us"
-    | "port_allocate + port_deallocate" -> "port_alloc_dealloc_us"
-    | "port_status" -> "port_status_us"
-    | s -> s
-  in
-  List.map (fun (op, v) -> (op_key op, v)) ops
-  @ List.map (fun (size, v) -> (Printf.sprintf "rpc_us_%d" size, v)) rpc_by_size
-  @ List.map (fun (k, v) -> ("counter_" ^ k, float_of_int v)) counters
+  ( [ t; t2; t3 ],
+    List.map (fun (_, key, v) -> (key, v)) ops
+    @ List.map (fun (size, v) -> (Printf.sprintf "rpc_us_%d" size, v)) rpc_by_size
+    @ List.map (fun (k, v) -> ("counter_" ^ k, float_of_int v)) counters )
 
 let experiment =
   {
@@ -144,6 +135,4 @@ let experiment =
       "Tables 3-1/3-2 define msg_send/msg_receive/msg_rpc and the port operations; a local \
        message exchange costs on the order of 100 us on 1987 hardware.";
     run;
-    quick = (fun () -> ignore (run_body ~rounds:10));
-    json = Some json;
   }

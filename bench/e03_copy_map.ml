@@ -91,7 +91,7 @@ let exchange sys ~sender ~receiver ~recv_svc ~ack_name ~ack_port ~src_addr ~size
 
 let sizes = [ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 ]
 
-let run_body ~sizes =
+let run_body () =
   let config = { Kernel.default_config with Kernel.phys_frames = 16384 } in
   run_system ~config (fun sys task ->
       let receiver = Task.create sys.Kernel.kernel ~name:"e3-recv" () in
@@ -122,7 +122,7 @@ let pp_size size =
   else Printf.sprintf "%d KB" (size / 1024)
 
 let run () =
-  let rows = run_body ~sizes in
+  let rows = run_body () in
   let t =
     Table.create
       ~title:"E3: large message transfer — physical copy vs copy-on-write mapping (Sections 1, 2, 9)"
@@ -130,20 +130,27 @@ let run () =
         [ "message size"; "copy us"; "map untouched us"; "map read-all us"; "map write-all us";
           "copy/map-untouched" ]
   in
-  List.iter
-    (fun (size, results) ->
-      let copy_us, _ = find Copy results in
-      let lazy_us, _ = find Map_lazy results in
-      Table.row t
+  let metrics =
+    List.concat_map
+      (fun (size, results) ->
+        let copy_us, _ = find Copy results in
+        let lazy_us, acct = find Map_lazy results in
+        let read_us = fst (find Map_read results) in
+        let write_us = fst (find Map_write results) in
+        Table.row t
+          [ pp_size size; us0 copy_us; us0 lazy_us; us0 read_us; us0 write_us;
+            ratio copy_us lazy_us ];
         [
-          pp_size size;
-          us0 copy_us;
-          us0 lazy_us;
-          us0 (fst (find Map_read results));
-          us0 (fst (find Map_write results));
-          ratio copy_us lazy_us;
+          (Printf.sprintf "copy_us_%d" size, copy_us);
+          (Printf.sprintf "map_untouched_us_%d" size, lazy_us);
+          (Printf.sprintf "map_read_us_%d" size, read_us);
+          (Printf.sprintf "map_write_us_%d" size, write_us);
+          ( Printf.sprintf "copy_over_map_%d" size,
+            if lazy_us = 0.0 then 0.0 else copy_us /. lazy_us );
+          (Printf.sprintf "map_send_bytes_copied_%d" size, float_of_int acct.a_bytes_copied);
         ])
-    rows;
+      rows
+  in
   (* Where does mapping start to win? (With a 16-byte handle and
      O(pages) map ops it already wins at one page; the table makes the
      measured crossover explicit rather than asserted.) *)
@@ -152,10 +159,15 @@ let run () =
       (fun (_, results) -> fst (find Copy results) > fst (find Map_lazy results))
       rows
   in
-  (match crossover with
-  | Some (size, _) ->
-    Table.row t [ Printf.sprintf "crossover at %s" (pp_size size); "-"; "-"; "-"; "-"; "-" ]
-  | None -> Table.row t [ "no crossover in sweep"; "-"; "-"; "-"; "-"; "-" ]);
+  let crossover_bytes =
+    match crossover with
+    | Some (size, _) ->
+      Table.row t [ Printf.sprintf "crossover at %s" (pp_size size); "-"; "-"; "-"; "-"; "-" ];
+      size
+    | None ->
+      Table.row t [ "no crossover in sweep"; "-"; "-"; "-"; "-"; "-" ];
+      -1
+  in
   (* Zero-copy accounting at the largest size: a mapped send moves no
      bytes (one copyin, handle in the message), and only the pages the
      receiver touches come back as lazy copy-out faults. *)
@@ -175,32 +187,7 @@ let run () =
           string_of_int a.a_lazy_faults;
         ])
     acct_row;
-  [ t; t2 ]
-
-let json () =
-  let rows = run_body ~sizes:[ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024 ] in
-  let crossover =
-    List.find_opt
-      (fun (_, results) -> fst (find Copy results) > fst (find Map_lazy results))
-      rows
-  in
-  List.concat_map
-    (fun (size, results) ->
-      let copy_us, _ = find Copy results in
-      let lazy_us, acct = find Map_lazy results in
-      [
-        (Printf.sprintf "copy_us_%d" size, copy_us);
-        (Printf.sprintf "map_untouched_us_%d" size, lazy_us);
-        (Printf.sprintf "map_read_us_%d" size, fst (find Map_read results));
-        (Printf.sprintf "map_write_us_%d" size, fst (find Map_write results));
-        (Printf.sprintf "copy_over_map_%d" size, if lazy_us = 0.0 then 0.0 else copy_us /. lazy_us);
-        (Printf.sprintf "map_send_bytes_copied_%d" size, float_of_int acct.a_bytes_copied);
-      ])
-    rows
-  @ [
-      ( "crossover_bytes",
-        match crossover with Some (size, _) -> float_of_int size | None -> -1.0 );
-    ]
+  ([ t; t2 ], metrics @ [ ("crossover_bytes", float_of_int crossover_bytes) ])
 
 let experiment =
   {
@@ -212,6 +199,4 @@ let experiment =
        so its advantage grows with message size; the price is deferred to the pages the \
        receiver actually touches.";
     run;
-    quick = (fun () -> ignore (run_body ~sizes:[ 4 * 1024; 64 * 1024 ]));
-    json = Some json;
   }

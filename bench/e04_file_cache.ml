@@ -128,18 +128,17 @@ let run_writeback ~frames:wb_frames ~image_pages =
     wt_laundered = Metrics.value st.Vm_types.s_laundered - l0;
   }
 
-let run_body ~sources ~wb_frames ~image_pages =
-  let proj = project ~sources in
+let run_body () =
+  let proj = project ~sources:48 in
   let unix_runs = run_unix proj in
   let mach_runs, traffic = run_mach proj in
-  let wtraffic = run_writeback ~frames:wb_frames ~image_pages in
+  let wtraffic = run_writeback ~frames:256 ~image_pages:512 in
   (proj, List.combine unix_runs mach_runs, traffic, wtraffic)
 
-let full () = run_body ~sources:48 ~wb_frames:256 ~image_pages:512
 let per a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
 let run () =
-  let proj, rows, traffic, wtraffic = full () in
+  let proj, rows, traffic, wtraffic = run_body () in
   let t =
     Table.create
       ~title:
@@ -199,20 +198,17 @@ let run () =
       (if wtraffic.wt_writes = 0 then "-"
        else Printf.sprintf "%.2f" (per wtraffic.wt_pageouts wtraffic.wt_writes));
     ];
-  [ t; p; w ]
-
-(* The §9 headline as ratios (UNIX over Mach: > 1 means Mach wins). *)
-let json () =
-  let _, rows, traffic, wtraffic = full () in
+  (* The §9 headline as ratios (UNIX over Mach: > 1 means Mach wins). *)
   let speedup (u, m) = u.Compile_sim.elapsed_us /. m.Compile_sim.elapsed_us in
   let cold, warm = match rows with [ c; w ] -> (c, w) | _ -> assert false in
-  [
-    ("cold_speedup", speedup cold);
-    ("warm_speedup", speedup warm);
-    ("warm_io_ratio", per (fst warm).Compile_sim.disk_ops (snd warm).Compile_sim.disk_ops);
-    ("pages_per_request", per traffic.pt_pageins traffic.pt_requests);
-    ("pages_per_data_write", per wtraffic.wt_pageouts wtraffic.wt_writes);
-  ]
+  ( [ t; p; w ],
+    [
+      ("cold_speedup", speedup cold);
+      ("warm_speedup", speedup warm);
+      ("warm_io_ratio", per (fst warm).Compile_sim.disk_ops (snd warm).Compile_sim.disk_ops);
+      ("pages_per_request", per traffic.pt_pageins traffic.pt_requests);
+      ("pages_per_data_write", per wtraffic.wt_pageouts wtraffic.wt_writes);
+    ] )
 
 let experiment =
   {
@@ -223,6 +219,4 @@ let experiment =
        and a large system compilation does 10x fewer I/O operations, because Mach uses the bulk \
        of physical memory as a file cache instead of a fixed 10% buffer cache.";
     run;
-    quick = (fun () -> ignore (run_body ~sources:6 ~wb_frames:64 ~image_pages:128));
-    json = Some json;
   }

@@ -4,7 +4,9 @@
    calibration table, and then exercised: three parallel workloads —
    a zero-fill fault storm, IPC ping-pong pairs, and the §9 compile
    workload run as parallel jobs — are swept over 1..16 processors of
-   each machine class. Every compute burst (fault service, message
+   the MultiMax. (The machine class does not yet change any of these
+   workloads: all three classes print identical rows, so each sweep
+   runs once.) Every compute burst (fault service, message
    copies, compiler CPU) contends for the host's per-CPU run queues,
    so the sweep measures real speedup curves plus the scheduler's own
    counters: context switches, quantum preemptions, migrations, work
@@ -25,6 +27,7 @@ let with_cpus p n = { p with Machine.cpus = n }
 (* All three classes have >= 16 CPUs; local-work scaling beyond that is
    identical, so the sweep stops there. *)
 let cpu_sweep = [ 1; 2; 4; 8; 16 ]
+let sweep_machine = Machine.multimax
 
 (* --- measurement plumbing ---------------------------------------------- *)
 
@@ -247,79 +250,80 @@ let pp_pairs = 4
 let pp_rpcs = 150
 
 let run () =
+  let model = sweep_machine.Machine.model in
   let t_storm =
     Table.create ~title:"E5a: zero-fill fault storm (8 workers x 48 pages)"
       ~columns:
         [ "machine"; "cpus"; "elapsed ms"; "speedup"; "util"; "switches"; "preempt"; "migr";
           "steals"; "peak q"; "avg q" ]
   in
+  let storm =
+    List.map
+      (fun n ->
+        fault_storm (with_cpus sweep_machine n) ~workers:storm_workers
+          ~pages_per_worker:storm_pages)
+      cpu_sweep
+  in
+  let storm1 = List.hd storm in
+  List.iter
+    (fun pt ->
+      Table.row t_storm
+        [
+          model; string_of_int pt.pt_cpus; ms pt;
+          Printf.sprintf "%.2fx" (speedup storm1 pt); pct pt.pt_util;
+          string_of_int (counter pt "switches");
+          string_of_int (counter pt "preemptions");
+          string_of_int (counter pt "migrations");
+          string_of_int (counter pt "steals");
+          string_of_int (counter pt "queue_depth_peak");
+          avg_queue_depth pt;
+        ])
+    storm;
   let t_pp =
     Table.create ~title:"E5b: IPC ping-pong (4 pairs x 150 RPCs, 8-byte payload)"
       ~columns:
         [ "machine"; "cpus"; "elapsed ms"; "speedup"; "rpc us"; "handoff rate"; "switches";
           "steals" ]
   in
+  let pp =
+    List.map (fun n -> ping_pong (with_cpus sweep_machine n) ~pairs:pp_pairs ~rpcs:pp_rpcs)
+      cpu_sweep
+  in
+  let pp1, _ = List.hd pp in
+  let handoff_rate (pt, receives) = float_of_int pt.pt_handoffs /. float_of_int receives in
+  List.iter
+    (fun ((pt, _) as run) ->
+      Table.row t_pp
+        [
+          model; string_of_int pt.pt_cpus; ms pt;
+          Printf.sprintf "%.2fx" (speedup pp1 pt);
+          Printf.sprintf "%.1f" (pt.pt_elapsed /. float_of_int (pp_pairs * pp_rpcs));
+          pct (handoff_rate run);
+          string_of_int (counter pt "switches");
+          string_of_int (counter pt "steals");
+        ])
+    pp;
   let t_cc =
     Table.create ~title:"E5c: parallel compile jobs (6 jobs x 2 sources, shared headers)"
       ~columns:
         [ "machine"; "cpus"; "elapsed ms"; "speedup"; "util"; "switches"; "preempt"; "migr" ]
   in
+  let cc =
+    List.map (fun n -> compile_scale (with_cpus sweep_machine n) ~jobs:6 ~sources_per_job:2)
+      cpu_sweep
+  in
+  let cc1 = List.hd cc in
   List.iter
-    (fun machine ->
-      let storm =
-        List.map (fun n -> fault_storm (with_cpus machine n) ~workers:storm_workers
-                             ~pages_per_worker:storm_pages)
-          cpu_sweep
-      in
-      let storm1 = List.hd storm in
-      List.iter
-        (fun pt ->
-          Table.row t_storm
-            [
-              machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup storm1 pt); pct pt.pt_util;
-              string_of_int (counter pt "switches");
-              string_of_int (counter pt "preemptions");
-              string_of_int (counter pt "migrations");
-              string_of_int (counter pt "steals");
-              string_of_int (counter pt "queue_depth_peak");
-              avg_queue_depth pt;
-            ])
-        storm;
-      let pp =
-        List.map (fun n -> ping_pong (with_cpus machine n) ~pairs:pp_pairs ~rpcs:pp_rpcs)
-          cpu_sweep
-      in
-      let pp1, _ = List.hd pp in
-      List.iter
-        (fun (pt, receives) ->
-          Table.row t_pp
-            [
-              machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup pp1 pt);
-              Printf.sprintf "%.1f" (pt.pt_elapsed /. float_of_int (pp_pairs * pp_rpcs));
-              pct (float_of_int pt.pt_handoffs /. float_of_int receives);
-              string_of_int (counter pt "switches");
-              string_of_int (counter pt "steals");
-            ])
-        pp;
-      let cc =
-        List.map (fun n -> compile_scale (with_cpus machine n) ~jobs:6 ~sources_per_job:2)
-          cpu_sweep
-      in
-      let cc1 = List.hd cc in
-      List.iter
-        (fun pt ->
-          Table.row t_cc
-            [
-              machine.Machine.model; string_of_int pt.pt_cpus; ms pt;
-              Printf.sprintf "%.2fx" (speedup cc1 pt); pct pt.pt_util;
-              string_of_int (counter pt "switches");
-              string_of_int (counter pt "preemptions");
-              string_of_int (counter pt "migrations");
-            ])
-        cc)
-    machines;
+    (fun pt ->
+      Table.row t_cc
+        [
+          model; string_of_int pt.pt_cpus; ms pt;
+          Printf.sprintf "%.2fx" (speedup cc1 pt); pct pt.pt_util;
+          string_of_int (counter pt "switches");
+          string_of_int (counter pt "preemptions");
+          string_of_int (counter pt "migrations");
+        ])
+    cc;
   (* Handoff A/B: identical single-pair ping-pong on 2 CPUs, with and
      without processor donation. The delta is the per-RPC price of the
      run-queue round trip the handoff path skips. *)
@@ -340,47 +344,30 @@ let run () =
       string_of_int (counter off "switches") ];
   Table.row t_ab
     [ "saving per RPC"; "-"; us (per_rpc off -. per_rpc on); "-"; "-" ];
-  [ taxonomy_table (); t_storm; t_pp; t_cc; t_ab ]
-
-let quick () =
-  ignore (fault_storm (with_cpus Machine.multimax 2) ~workers:2 ~pages_per_worker:4);
-  ignore (ping_pong (with_cpus Machine.multimax 2) ~pairs:1 ~rpcs:4)
-
-let json () =
-  let sweep = [ 1; 2; 4; 8; 16 ] in
-  let storm =
-    List.map
-      (fun n -> (n, fault_storm (with_cpus Machine.multimax n) ~workers:8 ~pages_per_worker:32))
-      sweep
-  in
-  let storm1 = List.assoc 1 storm in
-  let max_cpus, storm_max = List.nth storm (List.length storm - 1) in
-  let pp_pt, pp_recv = ping_pong (with_cpus Machine.multimax 4) ~pairs:4 ~rpcs:100 in
-  let ab = with_cpus Machine.multimax 2 in
-  let on, _ = ping_pong ~handoff:true ab ~pairs:1 ~rpcs:200 in
-  let off, _ = ping_pong ~handoff:false ab ~pairs:1 ~rpcs:200 in
-  let cc1 = compile_scale (with_cpus Machine.multimax 1) ~jobs:4 ~sources_per_job:2 in
-  let cc4 = compile_scale (with_cpus Machine.multimax 4) ~jobs:4 ~sources_per_job:2 in
-  List.concat
-    [
-      [ ("fault_storm_elapsed_1cpu_ms", storm1.pt_elapsed /. 1000.0) ];
-      List.filter_map
-        (fun (n, pt) ->
-          if n = 1 then None
-          else Some (Printf.sprintf "fault_storm_speedup_%d" n, speedup storm1 pt))
-        storm;
+  let storm_max = List.nth storm (List.length storm - 1) in
+  let metrics =
+    List.concat
       [
-        ("fault_storm_speedup_max", speedup storm1 storm_max);
-        ("fault_storm_max_cpus", float_of_int max_cpus);
-        ("fault_storm_util_max_pct", 100.0 *. storm_max.pt_util);
-        ("fault_storm_steals_max", float_of_int (counter storm_max "steals"));
-        ("pingpong_handoff_rate", float_of_int pp_pt.pt_handoffs /. float_of_int pp_recv);
-        ("handoff_rpc_us", on.pt_elapsed /. 200.0);
-        ("queued_rpc_us", off.pt_elapsed /. 200.0);
-        ("handoff_saving_us_per_rpc", (off.pt_elapsed -. on.pt_elapsed) /. 200.0);
-        ("compile_speedup_4", speedup cc1 cc4);
-      ];
-    ]
+        [ ("fault_storm_elapsed_1cpu_ms", storm1.pt_elapsed /. 1000.0) ];
+        List.filter_map
+          (fun pt ->
+            if pt.pt_cpus = 1 then None
+            else Some (Printf.sprintf "fault_storm_speedup_%d" pt.pt_cpus, speedup storm1 pt))
+          storm;
+        [
+          ("fault_storm_speedup_max", speedup storm1 storm_max);
+          ("fault_storm_max_cpus", float_of_int storm_max.pt_cpus);
+          ("fault_storm_util_max_pct", 100.0 *. storm_max.pt_util);
+          ("fault_storm_steals_max", float_of_int (counter storm_max "steals"));
+          ("pingpong_handoff_rate", handoff_rate (List.find (fun (pt, _) -> pt.pt_cpus = 4) pp));
+          ("handoff_rpc_us", per_rpc on);
+          ("queued_rpc_us", per_rpc off);
+          ("handoff_saving_us_per_rpc", per_rpc off -. per_rpc on);
+          ("compile_speedup_4", speedup cc1 (List.find (fun pt -> pt.pt_cpus = 4) cc));
+        ];
+      ]
+  in
+  ([ taxonomy_table (); t_storm; t_pp; t_cc; t_ab ], metrics)
 
 let experiment =
   {
@@ -392,6 +379,4 @@ let experiment =
        RPC hand the sender's processor straight to the receiver instead of a run-queue round \
        trip.";
     run;
-    quick;
-    json = Some json;
   }

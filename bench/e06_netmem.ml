@@ -51,62 +51,68 @@ let run_point ?(hosts = 2) ~pages ~ops_per_client ~write_ratio () =
       (elapsed, Netmem.invalidations nm, Netmem.grants nm))
 
 let ratios = [ 0.0; 0.02; 0.1; 0.3; 0.5 ]
+let pages = 32
+let ops_per_client = 400
 
-let run_body ~pages ~ops_per_client ~ratios =
-  List.map
-    (fun wr ->
-      let elapsed, inv, grants = run_point ~pages ~ops_per_client ~write_ratio:wr () in
-      (wr, elapsed, inv, grants))
-    ratios
-
-let run_hosts_sweep ~pages ~ops_per_client =
-  List.map
-    (fun hosts ->
-      let elapsed, inv, grants =
-        run_point ~hosts ~pages ~ops_per_client ~write_ratio:0.1 ()
-      in
-      (hosts, elapsed, inv, grants))
-    [ 2; 3; 4 ]
+(* Invalidations per 100 accesses, over all [hosts] clients. *)
+let per_100 ~hosts inv = float_of_int inv /. float_of_int (hosts * ops_per_client) *. 100.0
 
 let run () =
-  let ops_per_client = 400 in
-  let rows = run_body ~pages:32 ~ops_per_client ~ratios in
   let t =
     Table.create
       ~title:"E6: network shared memory, 2 hosts, 32 pages, hot/cold working set (Section 4.2)"
       ~columns:
         [ "write ratio"; "avg access us"; "invalidations"; "write grants"; "inval per 100 ops" ]
   in
-  List.iter
-    (fun (wr, elapsed, inv, grants) ->
-      let total_ops = float_of_int (2 * ops_per_client) in
-      Table.row t
+  let by_ratio =
+    List.concat_map
+      (fun wr ->
+        let elapsed, inv, grants = run_point ~pages ~ops_per_client ~write_ratio:wr () in
+        let access_us = elapsed /. float_of_int (2 * ops_per_client) in
+        Table.row t
+          [
+            Printf.sprintf "%.2f" wr;
+            us access_us;
+            string_of_int inv;
+            string_of_int grants;
+            Printf.sprintf "%.1f" (per_100 ~hosts:2 inv);
+          ];
+        let pct = Printf.sprintf "wr%.0f" (wr *. 100.0) in
         [
-          Printf.sprintf "%.2f" wr;
-          us (elapsed /. total_ops);
-          string_of_int inv;
-          string_of_int grants;
-          Printf.sprintf "%.1f" (float_of_int inv /. total_ops *. 100.0);
+          ("access_us_" ^ pct, access_us);
+          ("invalidations_" ^ pct, float_of_int inv);
+          ("grants_" ^ pct, float_of_int grants);
+          ("inval_per_100_ops_" ^ pct, per_100 ~hosts:2 inv);
         ])
-    rows;
+      ratios
+  in
   (* More sharers: every write has more copies to invalidate. *)
   let t2 =
     Table.create
       ~title:"E6b: same workload at write ratio 0.10, varying the number of sharing hosts"
       ~columns:[ "hosts"; "avg access us"; "invalidations"; "inval per 100 ops" ]
   in
-  List.iter
-    (fun (hosts, elapsed, inv, _grants) ->
-      let total_ops = float_of_int (hosts * ops_per_client) in
-      Table.row t2
+  let by_hosts =
+    List.concat_map
+      (fun hosts ->
+        let elapsed, inv, _grants =
+          run_point ~hosts ~pages ~ops_per_client ~write_ratio:0.1 ()
+        in
+        let access_us = elapsed /. float_of_int (hosts * ops_per_client) in
+        Table.row t2
+          [
+            string_of_int hosts;
+            us access_us;
+            string_of_int inv;
+            Printf.sprintf "%.1f" (per_100 ~hosts inv);
+          ];
         [
-          string_of_int hosts;
-          us (elapsed /. total_ops);
-          string_of_int inv;
-          Printf.sprintf "%.1f" (float_of_int inv /. total_ops *. 100.0);
+          (Printf.sprintf "access_us_hosts%d" hosts, access_us);
+          (Printf.sprintf "inval_per_100_ops_hosts%d" hosts, per_100 ~hosts inv);
         ])
-    (run_hosts_sweep ~pages:32 ~ops_per_client);
-  [ t; t2 ]
+      [ 2; 3; 4 ]
+  in
+  ([ t; t2 ], by_ratio @ by_hosts)
 
 let experiment =
   {
@@ -117,6 +123,4 @@ let experiment =
        being granted, so performance degrades as the write ratio rises — efficient exactly when \
        algorithms exhibit read/write locality (s4.2, after Li).";
     run;
-    quick = (fun () -> ignore (run_body ~pages:8 ~ops_per_client:40 ~ratios:[ 0.0; 0.3 ]));
-    json = None;
   }

@@ -54,19 +54,14 @@ let run_point ~pages ~touched_fraction strategy =
       let run_us = Ivar.read finished in
       (migrate_us, run_us, Migrator.pages_transferred mgr))
 
-let run_body ~pages ~fractions =
-  List.concat_map
-    (fun frac ->
-      List.map
-        (fun strategy ->
-          let migrate_us, run_us, shipped = run_point ~pages ~touched_fraction:frac strategy in
-          (frac, strategy, migrate_us, run_us, shipped))
-        [ Migrator.Eager_copy; Migrator.Copy_on_reference; Migrator.Pre_paging 4 ])
-    fractions
+(* Metric-key form of a strategy. *)
+let strategy_key = function
+  | Migrator.Eager_copy -> "eager"
+  | Migrator.Copy_on_reference -> "cor"
+  | Migrator.Pre_paging n -> Printf.sprintf "prepage%d" n
 
 let run () =
   let pages = 128 in
-  let rows = run_body ~pages ~fractions:[ 0.1; 0.5; 1.0 ] in
   let t =
     Table.create
       ~title:(Printf.sprintf "E7: migrating a %d-page task between hosts (Section 8.2)" pages)
@@ -74,19 +69,31 @@ let run () =
         [ "touched"; "strategy"; "freeze-to-restart ms"; "post-restart run ms"; "total ms";
           "pages shipped" ]
   in
-  List.iter
-    (fun (frac, strategy, migrate_us, run_us, shipped) ->
-      Table.row t
-        [
-          Printf.sprintf "%.0f%%" (frac *. 100.0);
-          strategy_name strategy;
-          Printf.sprintf "%.1f" (migrate_us /. 1000.0);
-          Printf.sprintf "%.1f" (run_us /. 1000.0);
-          Printf.sprintf "%.1f" ((migrate_us +. run_us) /. 1000.0);
-          string_of_int shipped;
-        ])
-    rows;
-  [ t ]
+  let metrics =
+    List.concat_map
+      (fun frac ->
+        List.concat_map
+          (fun strategy ->
+            let migrate_us, run_us, shipped = run_point ~pages ~touched_fraction:frac strategy in
+            Table.row t
+              [
+                Printf.sprintf "%.0f%%" (frac *. 100.0);
+                strategy_name strategy;
+                Printf.sprintf "%.1f" (migrate_us /. 1000.0);
+                Printf.sprintf "%.1f" (run_us /. 1000.0);
+                Printf.sprintf "%.1f" ((migrate_us +. run_us) /. 1000.0);
+                string_of_int shipped;
+              ];
+            let suffix = Printf.sprintf "%s_%.0f" (strategy_key strategy) (frac *. 100.0) in
+            [
+              ("freeze_us_" ^ suffix, migrate_us);
+              ("run_us_" ^ suffix, run_us);
+              ("shipped_" ^ suffix, float_of_int shipped);
+            ])
+          [ Migrator.Eager_copy; Migrator.Copy_on_reference; Migrator.Pre_paging 4 ])
+      [ 0.1; 0.5; 1.0 ]
+  in
+  ([ t ], metrics)
 
 let experiment =
   {
@@ -97,6 +104,4 @@ let experiment =
        pages it references; eager copy pays the whole address space before restart; pre-paging \
        helps tasks with predictable access patterns (Section 8.2, after Zayas).";
     run;
-    quick = (fun () -> ignore (run_body ~pages:16 ~fractions:[ 0.5 ]));
-    json = None;
   }

@@ -109,7 +109,7 @@ let run_recovery () =
         let client = Task.create sys.Kernel.kernel ~name:"txn" () in
         ignore (Thread.spawn client ~name:"txn.main" (fun () -> out := Some (f cam client))));
     Engine.run sys.Kernel.engine;
-  note_registry sys.Kernel.kernel;
+    note_registry sys.Kernel.kernel;
     match !out with Some r -> r | None -> failwith "E8 recovery epoch deadlocked"
   in
   epoch ~format:true (fun cam client ->
@@ -140,14 +140,12 @@ let run_recovery () =
       in
       (Camelot.recovered_redo cam, Camelot.recovered_undo cam, committed, uncommitted_gone))
 
-let run_body ~txns ~updates_per_txn =
-  let cam = run_camelot ~txns ~updates_per_txn in
-  let wt = run_write_through ~txns ~updates_per_txn in
-  (cam, wt)
+let txns_per_s (p : point) = float_of_int p.p_txns /. (p.p_elapsed_us /. 1e6)
 
 let run () =
   let txns = 50 and updates_per_txn = 20 in
-  let cam, wt = run_body ~txns ~updates_per_txn in
+  let cam = run_camelot ~txns ~updates_per_txn in
+  let wt = run_write_through ~txns ~updates_per_txn in
   let t =
     Table.create
       ~title:
@@ -160,7 +158,7 @@ let run () =
     Table.row t
       [
         name;
-        Printf.sprintf "%.1f" (float_of_int p.p_txns /. (p.p_elapsed_us /. 1e6));
+        Printf.sprintf "%.1f" (txns_per_s p);
         string_of_int p.p_data_ops;
         string_of_int p.p_log_forces;
         string_of_int p.p_violations;
@@ -176,7 +174,20 @@ let run () =
   Table.row t2 [ "log records undone (uncommitted txn)"; string_of_int undo ];
   Table.row t2 [ "committed data survives crash"; string_of_bool committed ];
   Table.row t2 [ "uncommitted data rolled back"; string_of_bool gone ];
-  [ t; t2 ]
+  let flag b = if b then 1.0 else 0.0 in
+  ( [ t; t2 ],
+    [
+      ("camelot_txns_per_s", txns_per_s cam);
+      ("camelot_data_ops", float_of_int cam.p_data_ops);
+      ("camelot_log_forces", float_of_int cam.p_log_forces);
+      ("wal_violations", float_of_int cam.p_violations);
+      ("write_through_txns_per_s", txns_per_s wt);
+      ("write_through_data_ops", float_of_int wt.p_data_ops);
+      ("recovery_redo", float_of_int redo);
+      ("recovery_undo", float_of_int undo);
+      ("committed_survives", flag committed);
+      ("uncommitted_rolled_back", flag gone);
+    ] )
 
 let experiment =
   {
@@ -187,6 +198,4 @@ let experiment =
        disk manager forces log records before flushed pages reach disk, clients need no buffer \
        management, and recoverable data is written directly to its permanent home (Section 8.3).";
     run;
-    quick = (fun () -> ignore (run_body ~txns:5 ~updates_per_txn:5));
-    json = None;
   }

@@ -354,44 +354,18 @@ let run_migration_under_loss ~rounds ~drop =
           Netmem.invalidations nm,
           !finish ))
 
-let chaos_body ~quick =
-  let npages = if quick then 8 else 32 in
-  let sweep =
-    List.map
-      (fun drop ->
-        let b, f, t, rx, drops = run_loss_point ~drop ~npages in
-        (drop, b, f, t, rx, drops))
-      [ 0.0; 0.05; 0.10; 0.20 ]
-  in
-  let dup = run_duplicate_storm ~npages in
-  let part =
-    if quick then run_partition_heal ~npages ~at_us:10_000.0 ~dur_us:30_000.0
-    else run_partition_heal ~npages:64 ~at_us:20_000.0 ~dur_us:100_000.0
-  in
-  let crash =
-    run_crash_mid_write ~npages ~kill_after_us:(if quick then 10_000.0 else 25_000.0)
-  in
-  let mig = run_migration_under_loss ~rounds:(if quick then 4 else 8) ~drop:0.10 in
-  (sweep, dup, part, crash, mig)
-
-let run_body ~quick =
-  let timeout = if quick then 50_000.0 else 500_000.0 in
-  let kill_after = if quick then 20_000.0 else 100_000.0 in
-  let abort_result, abort_us, abort_stats = run_unresponsive ~policy:(Fault.Abort_after timeout) in
-  let zf_result, zf_us, zf_stats = run_unresponsive ~policy:(Fault.Zero_fill_after timeout) in
-  let death_result, death_us, death_stats, death_counters = run_death ~kill_after_us:kill_after in
-  let rescued, alive = if quick then (1, true) else run_hoarder () in
-  let offered, free_after, reserved, can_alloc = if quick then (0, 1, 1, true) else run_flooder () in
-  ( timeout, abort_result, abort_us, abort_stats, zf_result, zf_us, zf_stats, kill_after,
-    death_result, death_us, death_stats, death_counters, rescued, alive, offered, free_after,
-    reserved, can_alloc )
+let chaos_npages = 32
+let timeout = 500_000.0
+let kill_after = 100_000.0
 
 let run () =
-  let ( timeout, abort_result, abort_us, abort_stats, zf_result, zf_us, zf_stats, kill_after,
-        death_result, death_us, death_stats, (pager_deaths, death_errors, death_zero_fills),
-        rescued, alive, offered, free_after, reserved, can_alloc ) =
-    run_body ~quick:false
+  let abort_result, abort_us, abort_stats = run_unresponsive ~policy:(Fault.Abort_after timeout) in
+  let zf_result, zf_us, zf_stats = run_unresponsive ~policy:(Fault.Zero_fill_after timeout) in
+  let death_result, death_us, death_stats, (pager_deaths, death_errors, death_zero_fills) =
+    run_death ~kill_after_us:kill_after
   in
+  let rescued, alive = run_hoarder () in
+  let offered, free_after, reserved, can_alloc = run_flooder () in
   let t =
     Table.create ~title:"E9: data manager failure injection (Section 6)"
       ~columns:[ "failure"; "defense"; "outcome"; "metric" ]
@@ -452,7 +426,25 @@ let run () =
       ("doomed-mgr (death run)", death_stats);
     ];
   (* Part two: the chaos suite. *)
-  let sweep, dup, part, crash, mig = chaos_body ~quick:false in
+  let sweep =
+    List.map
+      (fun drop ->
+        let b, f, t, rx, drops = run_loss_point ~drop ~npages:chaos_npages in
+        (drop, b, f, t, rx, drops))
+      [ 0.0; 0.05; 0.10; 0.20 ]
+  in
+  let dup_blocked, dup_failures, dups_injected, dup_dropped =
+    run_duplicate_storm ~npages:chaos_npages
+  in
+  let part_blocked, part_failures, convergence_us, partition_drops =
+    run_partition_heal ~npages:64 ~at_us:20_000.0 ~dur_us:100_000.0
+  in
+  let crash_blocked, crash_failures, crash_pager_deaths, crash_drops =
+    run_crash_mid_write ~npages:chaos_npages ~kill_after_us:25_000.0
+  in
+  let mig_blocked, mig_failures, mig_coherent, mig_invals, _ =
+    run_migration_under_loss ~rounds:8 ~drop:0.10
+  in
   let c =
     Table.create ~title:"E9c: remote pager workload under seeded network faults (chaos fabric)"
       ~columns:[ "scenario"; "fault plan"; "outcome"; "metric" ]
@@ -468,93 +460,87 @@ let run () =
           Printf.sprintf "%.1f ms, %d retransmits, %d wire drops" (t_us /. 1000.0) rx drops;
         ])
     sweep;
-  (let b, f, dups, dedup = dup in
-   Table.row c
-     [
-       "duplicate storm";
-       "dup 30% + drop 5%";
-       (if b = 0 && f = 0 then "at-most-once held (dedup window)"
-        else Printf.sprintf "BLOCKED=%d failures=%d" b f);
-       Printf.sprintf "%d duplicates injected, %d shed at receiver" dups dedup;
-     ]);
-  (let b, f, conv_us, pdrops = part in
-   Table.row c
-     [
-       "partition-and-heal (100 ms cut)";
-       "partition 0|1, heal";
-       (if b = 0 && f = 0 then "retransmits carried all traffic across the heal"
-        else Printf.sprintf "BLOCKED=%d failures=%d" b f);
-       Printf.sprintf "converged %.1f ms after heal; %d messages hit the cut"
-         (conv_us /. 1000.0) pdrops;
-     ]);
-  (let b, f, deaths, cdrops = crash in
-   Table.row c
-     [
-       "manager host crash mid-data_write";
-       "crash_host 1";
-       (if b = 0 && deaths > 0 then "proxy-port death reached the client kernel; no hang"
-        else Printf.sprintf "BLOCKED=%d pager_deaths=%d" b deaths);
-       Printf.sprintf "%d aborted accesses, %d pager deaths, %d msgs to dead host" f deaths
-         cdrops;
-     ]);
-  (let b, f, final_ok, invals, _ = mig in
-   Table.row c
-     [
-       "netmem ownership migration";
-       "drop 10%";
-       (if b = 0 && f = 0 && final_ok = 1 then "write grants migrated; final value coherent"
-        else Printf.sprintf "BLOCKED=%d failures=%d coherent=%d" b f final_ok);
-       Printf.sprintf "%d invalidations" invals;
-     ]);
-  [ t; s; c ]
-
-let json () =
-  let ( timeout, _, abort_us, _, _, zf_us, _, kill_after, _, death_us, _,
-        (pager_deaths, death_errors, death_zero_fills), _, _, _, _, _, _ ) =
-    run_body ~quick:true
-  in
-  let sweep, dup, part, crash, mig = chaos_body ~quick:true in
+  Table.row c
+    [
+      "duplicate storm";
+      "dup 30% + drop 5%";
+      (if dup_blocked = 0 && dup_failures = 0 then "at-most-once held (dedup window)"
+       else Printf.sprintf "BLOCKED=%d failures=%d" dup_blocked dup_failures);
+      Printf.sprintf "%d duplicates injected, %d shed at receiver" dups_injected dup_dropped;
+    ];
+  Table.row c
+    [
+      "partition-and-heal (100 ms cut)";
+      "partition 0|1, heal";
+      (if part_blocked = 0 && part_failures = 0 then
+         "retransmits carried all traffic across the heal"
+       else Printf.sprintf "BLOCKED=%d failures=%d" part_blocked part_failures);
+      Printf.sprintf "converged %.1f ms after heal; %d messages hit the cut"
+        (convergence_us /. 1000.0) partition_drops;
+    ];
+  Table.row c
+    [
+      "manager host crash mid-data_write";
+      "crash_host 1";
+      (if crash_blocked = 0 && crash_pager_deaths > 0 then
+         "proxy-port death reached the client kernel; no hang"
+       else Printf.sprintf "BLOCKED=%d pager_deaths=%d" crash_blocked crash_pager_deaths);
+      Printf.sprintf "%d aborted accesses, %d pager deaths, %d msgs to dead host" crash_failures
+        crash_pager_deaths crash_drops;
+    ];
+  Table.row c
+    [
+      "netmem ownership migration";
+      "drop 10%";
+      (if mig_blocked = 0 && mig_failures = 0 && mig_coherent = 1 then
+         "write grants migrated; final value coherent"
+       else
+         Printf.sprintf "BLOCKED=%d failures=%d coherent=%d" mig_blocked mig_failures
+           mig_coherent);
+      Printf.sprintf "%d invalidations" mig_invals;
+    ];
   let sweep_blocked = List.fold_left (fun a (_, b, _, _, _, _) -> a + b) 0 sweep in
   let sweep_failures = List.fold_left (fun a (_, _, f, _, _, _) -> a + f) 0 sweep in
   let loss10_us, loss10_rx =
     let _, _, _, t, rx, _ = List.nth sweep 2 in
     (t, rx)
   in
-  let dup_blocked, dup_failures, dups_injected, dup_dropped = dup in
-  let part_blocked, part_failures, convergence_us, partition_drops = part in
-  let crash_blocked, crash_failures, crash_pager_deaths, crash_drops = crash in
-  let mig_blocked, mig_failures, mig_coherent, mig_invals, _ = mig in
   let blocked_workers =
     sweep_blocked + dup_blocked + part_blocked + crash_blocked + mig_blocked
   in
   let fi = float_of_int in
-  [
-    ("timeout_us", timeout);
-    ("abort_blocked_us", abort_us);
-    ("zero_fill_blocked_us", zf_us);
-    ("kill_after_us", kill_after);
-    ("death_blocked_us", death_us);
-    ("pager_deaths", fi pager_deaths);
-    ("death_errors", fi death_errors);
-    ("death_zero_fills", fi death_zero_fills);
-    (* chaos suite *)
-    ("blocked_workers", fi blocked_workers);
-    ("sweep_failures", fi sweep_failures);
-    ("loss10_completion_us", loss10_us);
-    ("loss10_retransmits", fi loss10_rx);
-    ("dup_injected", fi dups_injected);
-    ("dup_dropped", fi dup_dropped);
-    ("dup_failures", fi (dup_blocked + dup_failures));
-    ("partition_convergence_us", convergence_us);
-    ("partition_drops", fi partition_drops);
-    ("partition_failures", fi (part_blocked + part_failures));
-    ("crash_pager_deaths", fi crash_pager_deaths);
-    ("crash_drops", fi crash_drops);
-    ("crash_aborted_accesses", fi crash_failures);
-    ("migration_coherent", fi mig_coherent);
-    ("migration_invalidations", fi mig_invals);
-    ("migration_failures", fi (mig_blocked + mig_failures));
-  ]
+  let flag b = if b then 1.0 else 0.0 in
+  ( [ t; s; c ],
+    [
+      ("timeout_us", timeout);
+      ("abort_blocked_us", abort_us);
+      ("zero_fill_blocked_us", zf_us);
+      ("kill_after_us", kill_after);
+      ("death_blocked_us", death_us);
+      ("pager_deaths", fi pager_deaths);
+      ("death_errors", fi death_errors);
+      ("death_zero_fills", fi death_zero_fills);
+      ("hoarder_frames_rescued", fi rescued);
+      ("hoarder_kernel_alive", flag alive);
+      ("flooder_can_allocate", flag can_alloc);
+      (* chaos suite *)
+      ("blocked_workers", fi blocked_workers);
+      ("sweep_failures", fi sweep_failures);
+      ("loss10_completion_us", loss10_us);
+      ("loss10_retransmits", fi loss10_rx);
+      ("dup_injected", fi dups_injected);
+      ("dup_dropped", fi dup_dropped);
+      ("dup_failures", fi (dup_blocked + dup_failures));
+      ("partition_convergence_us", convergence_us);
+      ("partition_drops", fi partition_drops);
+      ("partition_failures", fi (part_blocked + part_failures));
+      ("crash_pager_deaths", fi crash_pager_deaths);
+      ("crash_drops", fi crash_drops);
+      ("crash_aborted_accesses", fi crash_failures);
+      ("migration_coherent", fi mig_coherent);
+      ("migration_invalidations", fi mig_invals);
+      ("migration_failures", fi (mig_blocked + mig_failures));
+    ] )
 
 let experiment =
   {
@@ -565,9 +551,4 @@ let experiment =
        apply (timeout, zero-fill, wait), and the default pager plus double paging protect the \
        kernel from starvation by errant managers (Section 6).";
     run;
-    quick =
-      (fun () ->
-        ignore (run_body ~quick:true);
-        ignore (chaos_body ~quick:true));
-    json = Some json;
   }

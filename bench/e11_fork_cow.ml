@@ -124,10 +124,12 @@ let generations sys task ~pages ~gens =
   List.iter (fun addr -> Syscalls.vm_deallocate task ~addr ~size:(pages * page)) [ eager; lazy_ ];
   List.rev !rows
 
-let run_body ~sizes ~pages ~gens =
+let sizes = [ 64; 256; 1024; 4096 ]
+
+let run_body () =
   run_system (fun sys task ->
       let forks = List.map (fun pages -> (pages, fork_cost sys task ~pages)) sizes in
-      let rows = generations sys task ~pages ~gens in
+      let rows = generations sys task ~pages:64 ~gens:8 in
       let stats = Kernel.stats sys.Kernel.kernel in
       let totals =
         ( Metrics.value stats.Vm_types.s_cow_steals,
@@ -137,12 +139,8 @@ let run_body ~sizes ~pages ~gens =
       in
       (forks, rows, totals))
 
-let sizes = [ 64; 256; 1024; 4096 ]
-
 let run () =
-  let forks, rows, (steals, resolved, collapses, walk_peak) =
-    run_body ~sizes ~pages:64 ~gens:8
-  in
+  let forks, rows, (steals, resolved, collapses, walk_peak) = run_body () in
   let f =
     Table.create
       ~title:
@@ -183,28 +181,23 @@ let run () =
     [ "steal rate"; Printf.sprintf "%.3f" (float_of_int steals /. float_of_int (max 1 resolved)) ];
   Table.row s [ "chain collapses"; string_of_int collapses ];
   Table.row s [ "deepest chain walked by a fault"; string_of_int walk_peak ];
-  [ f; g; s ]
-
-let json () =
-  let forks, rows, (steals, resolved, collapses, walk_peak) =
-    run_body ~sizes ~pages:64 ~gens:8
-  in
   let fork_times = List.map snd forks in
   let fmin = List.fold_left min (List.hd fork_times) fork_times in
   let fmax = List.fold_left max (List.hd fork_times) fork_times in
   let depth_peak = List.fold_left (fun acc r -> max acc r.g_depth_exit) 0 rows in
-  List.map (fun (pages, fork_us) -> (Printf.sprintf "fork_us_%d" pages, fork_us)) forks
-  @ [
-      ("fork_flatness", fmax /. fmin);
-      ("generations", float_of_int (List.length rows));
-      ("gen_depth_peak", float_of_int depth_peak);
-      ("chain_depth_peak", float_of_int walk_peak);
-      ("cow_pages_resolved", float_of_int resolved);
-      ("cow_steals", float_of_int steals);
-      ("cow_copies", float_of_int (resolved - steals));
-      ("steal_rate", float_of_int steals /. float_of_int (max 1 resolved));
-      ("collapses", float_of_int collapses);
-    ]
+  ( [ f; g; s ],
+    List.map (fun (pages, fork_us) -> (Printf.sprintf "fork_us_%d" pages, fork_us)) forks
+    @ [
+        ("fork_flatness", fmax /. fmin);
+        ("generations", float_of_int (List.length rows));
+        ("gen_depth_peak", float_of_int depth_peak);
+        ("chain_depth_peak", float_of_int walk_peak);
+        ("cow_pages_resolved", float_of_int resolved);
+        ("cow_steals", float_of_int steals);
+        ("cow_copies", float_of_int (resolved - steals));
+        ("steal_rate", float_of_int steals /. float_of_int (max 1 resolved));
+        ("collapses", float_of_int collapses);
+      ] )
 
 let experiment =
   {
@@ -216,6 +209,4 @@ let experiment =
        actually written — and not even then, when the snapshot is the page's only remaining user \
        (Section 3.3).";
     run;
-    quick = (fun () -> ignore (run_body ~sizes:[ 16 ] ~pages:16 ~gens:2));
-    json = Some json;
   }

@@ -108,23 +108,18 @@ let run_reserve_ablation ~reserved_frames =
       done;
       !min_free)
 
-let run_body ~quick =
-  let gens = if quick then 4 else 24 in
-  let with_c = run_chain ~generations:gens ~collapse:true in
-  let without_c = run_chain ~generations:gens ~collapse:false in
-  let cache_on = if quick then 0 else run_cache_ablation ~enable_cache:true in
-  let cache_off = if quick then 1 else run_cache_ablation ~enable_cache:false in
-  let reserve_some = if quick then 2 else run_reserve_ablation ~reserved_frames:4 in
-  let reserve_none = if quick then 0 else run_reserve_ablation ~reserved_frames:0 in
-  (gens, with_c, without_c, cache_on, cache_off, reserve_some, reserve_none)
+let generations = 24
 
 let run () =
-  let gens, (d1, f1, c1), (d2, f2, c2), cache_on, cache_off, reserve_some, reserve_none =
-    run_body ~quick:false
-  in
+  let d1, f1, c1 = run_chain ~generations ~collapse:true in
+  let d2, f2, c2 = run_chain ~generations ~collapse:false in
+  let cache_on = run_cache_ablation ~enable_cache:true in
+  let cache_off = run_cache_ablation ~enable_cache:false in
+  let reserve_some = run_reserve_ablation ~reserved_frames:4 in
+  let reserve_none = run_reserve_ablation ~reserved_frames:0 in
   let t =
     Table.create
-      ~title:(Printf.sprintf "E12/A1: shadow chains after %d fork generations" gens)
+      ~title:(Printf.sprintf "E12/A1: shadow chains after %d fork generations" generations)
       ~columns:[ "configuration"; "max chain depth"; "cold fault us"; "collapses" ]
   in
   Table.row t [ "collapse enabled (Mach)"; string_of_int d1; us f1; string_of_int c1 ];
@@ -141,7 +136,20 @@ let run () =
   in
   Table.row t3 [ "4 reserved frames"; string_of_int reserve_some ];
   Table.row t3 [ "no reserve"; string_of_int reserve_none ];
-  [ t; t2; t3 ]
+  let fi = float_of_int in
+  ( [ t; t2; t3 ],
+    [
+      ("generations", fi generations);
+      ("chain_depth_collapse", fi d1);
+      ("chain_depth_no_collapse", fi d2);
+      ("cold_fault_us_collapse", f1);
+      ("cold_fault_us_no_collapse", f2);
+      ("collapses", fi c1);
+      ("disk_reads_pager_cache", fi cache_on);
+      ("disk_reads_no_pager_cache", fi cache_off);
+      ("min_free_reserve_4", fi reserve_some);
+      ("min_free_no_reserve", fi reserve_none);
+    ] )
 
 let experiment =
   {
@@ -152,6 +160,4 @@ let experiment =
        pager_cache is what turns physical memory into a file cache (Section 9); the reserved \
        pool keeps the pageout path alive under pressure (Section 6.2.3).";
     run;
-    quick = (fun () -> ignore (run_body ~quick:true));
-    json = None;
   }

@@ -168,7 +168,8 @@ let norma_shared ~items ~item_size =
 
 let sizes = [ 64; 1024; 4096; 16384 ]
 
-let run_body ~items ~sizes =
+let run_body () =
+  let items = 50 in
   List.map
     (fun s ->
       let um, uc = uma_messages ~items ~item_size:s in
@@ -177,7 +178,7 @@ let run_body ~items ~sizes =
     sizes
 
 let run () =
-  let rows = run_body ~items:50 ~sizes in
+  let rows = run_body () in
   let t =
     Table.create
       ~title:
@@ -216,21 +217,18 @@ let run () =
       [ t2 ]
     | [] -> []
   in
-  t :: t2
-
-let json () =
-  let rows = run_body ~items:20 ~sizes:[ 1024; 4096 ] in
-  List.concat_map
-    (fun (s, um, us_, nm, ns, uc, nc) ->
-      [
-        (Printf.sprintf "uma_messages_us_%d" s, um);
-        (Printf.sprintf "uma_shared_us_%d" s, us_);
-        (Printf.sprintf "norma_messages_us_%d" s, nm);
-        (Printf.sprintf "norma_shared_us_%d" s, ns);
-        (Printf.sprintf "uma_rpc_fastpath_%d" s, float_of_int (List.assoc "rpc_fastpath" uc));
-        (Printf.sprintf "norma_msgs_sent_%d" s, float_of_int (List.assoc "msgs_sent" nc));
-      ])
-    rows
+  ( t :: t2,
+    List.concat_map
+      (fun (s, um, us_, nm, ns, uc, nc) ->
+        [
+          (Printf.sprintf "uma_messages_us_%d" s, um);
+          (Printf.sprintf "uma_shared_us_%d" s, us_);
+          (Printf.sprintf "norma_messages_us_%d" s, nm);
+          (Printf.sprintf "norma_shared_us_%d" s, ns);
+          (Printf.sprintf "uma_rpc_fastpath_%d" s, float_of_int (List.assoc "rpc_fastpath" uc));
+          (Printf.sprintf "norma_msgs_sent_%d" s, float_of_int (List.assoc "msgs_sent" nc));
+        ])
+      rows )
 
 let experiment =
   {
@@ -242,6 +240,4 @@ let experiment =
        kernel overhead; on a NORMA, messages are native and coherent shared memory pays \
        ownership round trips per exchange (Section 7).";
     run;
-    quick = (fun () -> ignore (run_body ~items:5 ~sizes:[ 1024 ]));
-    json = Some json;
   }

@@ -9,7 +9,8 @@
    that several experiments emit (every [reg.*] key) resolves to the
    right run. A missing key or section fails its rule; any failure
    exits 1. The runs are deterministic: slack over a baseline only
-   covers deliberate cost-model retuning. *)
+   covers deliberate cost-model retuning. Every baseline key whose
+   value moved, gated or not, is reported without failing. *)
 
 let parse_lines lines =
   let sections = ref [] in
@@ -56,8 +57,8 @@ let slack = 0.8
 let at_least_baseline k = rule (k ^ " vs baseline") (key k) Ge (fun e -> slack *. e.base k)
 let at_most_baseline k = rule (k ^ " vs baseline") (key k) Le (fun e -> e.base k /. slack)
 
-(* E10's json producer drives 25 rounds per phase. *)
-let e10_rounds = 25.0
+(* The least of several values: a rule over it holds for each. *)
+let min_of values e = List.fold_left (fun acc v -> Float.min acc (v e)) infinity values
 
 let table : (string * rule list) list =
   [
@@ -71,6 +72,13 @@ let table : (string * rule list) list =
           (key "counter_rpc_fastpath");
         eq "counter_spurious_wakeups" 0.0;
         eq "counter_bytes_mapped" 0.0;
+      ] );
+    ( "E2",
+      [
+        (* Table 3-3: allocation is lazy, so a 64 KB allocate +
+           deallocate costs less than copying one page in. *)
+        rule "alloc_dealloc_us < write_us" (diff "write_us" "alloc_dealloc_us") Ge
+          (const 0.001);
       ] );
     ( "E3",
       [
@@ -97,6 +105,43 @@ let table : (string * rule list) list =
         at_least_baseline "fault_storm_speedup_max";
         ge "handoff_saving_us_per_rpc" 1.0;
         ge "pingpong_handoff_rate" 0.9;
+      ] );
+    ( "E6",
+      [
+        (* Section 4.2: read sharing invalidates nothing, and every
+           rise in the write ratio costs more invalidations. *)
+        eq "inval_per_100_ops_wr0" 0.0;
+        rule "inval_per_100_ops rises strictly with the write ratio"
+          (min_of
+             [
+               diff "inval_per_100_ops_wr2" "inval_per_100_ops_wr0";
+               diff "inval_per_100_ops_wr10" "inval_per_100_ops_wr2";
+               diff "inval_per_100_ops_wr30" "inval_per_100_ops_wr10";
+               diff "inval_per_100_ops_wr50" "inval_per_100_ops_wr30";
+             ])
+          Ge (const 0.001);
+      ] );
+    ( "E7",
+      [
+        (* Section 8.2: copy-on-reference restarts the task sooner than
+           eager copy, whatever fraction it then touches. *)
+        rule "freeze_us: copy-on-reference < eager at every touched fraction"
+          (min_of
+             [
+               diff "freeze_us_eager_10" "freeze_us_cor_10";
+               diff "freeze_us_eager_50" "freeze_us_cor_50";
+               diff "freeze_us_eager_100" "freeze_us_cor_100";
+             ])
+          Ge (const 0.001);
+      ] );
+    ( "E8",
+      [
+        (* Section 8.3: the log is forced before data pages, and crash
+           recovery redoes the committed transaction and undoes the
+           uncommitted one. *)
+        eq "wal_violations" 0.0;
+        eq "committed_survives" 1.0;
+        eq "uncommitted_rolled_back" 1.0;
       ] );
     ( "E9",
       [
@@ -138,12 +183,12 @@ let table : (string * rule list) list =
         (* Each driven path resolved that way. COW faults cluster up to
            8 pages, so the rounds of child writes take at least
            rounds/8 spans. *)
-        ge "via_zero_fill" e10_rounds;
-        ge "via_cow_copy" (e10_rounds /. 8.0);
+        rule "via_zero_fill >= rounds" (key "via_zero_fill") Ge (key "rounds");
+        rule "via_cow_copy >= rounds / 8" (key "via_cow_copy") Ge (fun e -> e.cur "rounds" /. 8.0);
         rule "cow pages all resolved (faults + batched)" (sum [ "via_cow_copy"; "cow_batched" ])
-          Ge (const e10_rounds);
-        ge "via_pager" e10_rounds;
-        ge "via_fast" e10_rounds;
+          Ge (key "rounds");
+        rule "via_pager >= rounds" (key "via_pager") Ge (key "rounds");
+        rule "via_fast >= rounds" (key "via_fast") Ge (key "rounds");
         ge "via_clean_hit" 1.0;
         (* An external-pager fault pays an IPC round trip on top. *)
         rule "ext_us > zf_us" (diff "ext_us" "zf_us") Ge (const 0.001);
@@ -166,6 +211,17 @@ let table : (string * rule list) list =
         at_least_baseline "steal_rate";
         le "gen_depth_peak" 2.0;
         rule "collapses >= generations" (key "collapses") Ge (key "generations");
+      ] );
+    ( "E12",
+      [
+        (* A1: collapse keeps the chain flat; without it every fork
+           generation leaves one more shadow. A2: pager_cache is what
+           saves the re-reads. *)
+        le "chain_depth_collapse" 1.0;
+        rule "chain_depth_no_collapse = generations" (key "chain_depth_no_collapse") Eq
+          (key "generations");
+        rule "disk reads: pager_cache false > true"
+          (diff "disk_reads_no_pager_cache" "disk_reads_pager_cache") Ge (const 1.0);
       ] );
     ( "E13",
       [
@@ -202,8 +258,29 @@ let check id env r =
     Printf.eprintf "FAIL %s %s: %s\n" id r.what why;
     false
 
-(* Check every rule; the exit code is 1 if any failed. *)
+(* Every baseline key whose current value differs from the committed
+   one: (experiment, key, baseline, current), [None] if the run lacks
+   it. *)
+let drift ~current ~baselines =
+  List.concat_map
+    (fun (id, kvs) ->
+      let cur = Option.value ~default:[] (List.assoc_opt id current) in
+      List.filter_map
+        (fun (k, b) ->
+          match List.assoc_opt k cur with
+          | Some v when v = b -> None
+          | v -> Some (id, k, b, v))
+        kvs)
+    baselines
+
+(* Check every rule and report drift; the exit code is 1 if any rule
+   failed. *)
 let run table ~current ~baselines =
+  List.iter
+    (fun (id, k, b, v) ->
+      Printf.printf "drift %s %s: baseline %.3f, now %s\n" id k b
+        (match v with Some v -> Printf.sprintf "%.3f" v | None -> "missing"))
+    (drift ~current ~baselines);
   let results =
     List.concat_map
       (fun (id, rules) ->

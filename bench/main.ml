@@ -1,17 +1,13 @@
 (* Benchmark harness: reproduces every table/figure-level claim of the
-   paper's evaluation (E1–E11, see DESIGN.md), then runs a bechamel
-   microbench suite (one Test.make per experiment, measuring the
-   harness itself).
+   paper's evaluation (E1–E13, see DESIGN.md). Each experiment runs
+   once; the tables it prints and the metrics [--json] writes come from
+   that same run, so the gates (gate.ml) check the printed numbers.
 
    Usage:
-     main.exe                 run all experiments + microbenches
+     main.exe                 run every experiment, print its tables
      main.exe --only E4,E7    run selected experiments
      main.exe --list          list experiments
-     main.exe --no-bechamel   skip the wall-clock microbenches
-     main.exe --json out.json write machine-readable per-experiment
-                              numbers (E1 round-trip by size, E3
-                              copy-vs-map crossover, E13 duality
-                              summary) instead of tables *)
+     main.exe --json out.json also write each experiment's metrics *)
 
 module Table = Mach_util.Table
 
@@ -32,74 +28,28 @@ let experiments : Common.experiment list =
     E13_duality.experiment;
   ]
 
+let alloc_words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+
+(* Run one experiment and print its tables. Returns its flat metrics:
+   the experiment's own, then the shared registry-snapshot schema (each
+   "subsystem.counter" of every kernel the run booted, prefixed
+   "reg."), then the host words allocated by the run (ungated: it
+   depends on the compiler). *)
 let run_experiment (e : Common.experiment) =
   Printf.printf "\n### %s — %s\n" e.Common.id e.Common.title;
   Printf.printf "Paper: %s\n\n" e.Common.paper_claim;
-  let t0 = Unix.gettimeofday () in
-  let tables = e.Common.run () in
+  Common.reset_collected ();
+  let words0 = alloc_words () in
+  let tables, metrics = e.Common.run () in
+  let alloc_mwords = (alloc_words () -. words0) /. 1e6 in
   List.iter Table.print tables;
-  Printf.printf "(experiment wall time: %.2fs)\n" (Unix.gettimeofday () -. t0)
+  let reg = List.map (fun (k, v) -> ("reg." ^ k, v)) (Common.collected_registry ()) in
+  (e.Common.id, metrics @ reg @ [ ("host.alloc_mwords", alloc_mwords) ])
 
-let run_bechamel selected =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let tests =
-    List.map
-      (fun (e : Common.experiment) ->
-        Test.make ~name:(e.Common.id ^ "-" ^ e.Common.title) (Staged.stage e.Common.quick))
-      selected
-  in
-  let test = Test.make_grouped ~name:"mach-repro" ~fmt:"%s %s" tests in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n### Bechamel microbenches (wall-clock per quick-experiment iteration)\n\n";
-  let rows =
-    Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, result) ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-44s %14.0f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-44s (no estimate)\n" name)
-    rows
-
-(* Tiny-parameter sanity pass: run every experiment's [quick] body once
-   so a refactor that breaks an experiment fails fast (the `bench-smoke`
-   dune alias runs this). *)
-let run_smoke selected =
-  List.iter
-    (fun (e : Common.experiment) ->
-      Printf.printf "smoke %-4s %-28s ... %!" e.Common.id e.Common.title;
-      let t0 = Unix.gettimeofday () in
-      e.Common.quick ();
-      Printf.printf "ok (%.2fs)\n%!" (Unix.gettimeofday () -. t0))
-    selected
-
-(* Machine-readable results: one flat {metric: number} object per
-   experiment. Every experiment emits the shared registry-snapshot
-   schema — each "subsystem.counter" of every kernel its run booted,
-   prefixed "reg." — and an experiment with a [json] producer prepends
-   its own derived metrics. Hand-rolled writer — the values are plain
-   floats and the format never nests deeper than two levels, so no JSON
-   library is needed. *)
-let run_json path selected =
-  let with_json =
-    List.map
-      (fun (e : Common.experiment) ->
-        Printf.printf "json %-4s %-28s ... %!" e.Common.id e.Common.title;
-        let t0 = Unix.gettimeofday () in
-        Common.reset_collected ();
-        let own = match e.Common.json with Some f -> f () | None -> e.Common.quick (); [] in
-        let reg =
-          List.map (fun (k, v) -> ("reg." ^ k, v)) (Common.collected_registry ())
-        in
-        Printf.printf "ok (%.2fs)\n%!" (Unix.gettimeofday () -. t0);
-        (e.Common.id, own @ reg))
-      selected
-  in
+(* One flat {metric: number} object per experiment. Hand-rolled writer —
+   the values are plain floats and the format never nests deeper than
+   two levels, so no JSON library is needed. *)
+let write_json path results =
   let oc = open_out path in
   output_string oc "{\n";
   List.iteri
@@ -112,12 +62,12 @@ let run_json path selected =
           Printf.fprintf oc "\n    %S: %.3f" k v)
         kvs;
       output_string oc "\n  }")
-    with_json;
+    results;
   output_string oc "\n}\n";
   close_out oc;
-  Printf.printf "wrote %s (%d experiments)\n" path (List.length with_json)
+  Printf.printf "\nwrote %s (%d experiments)\n" path (List.length results)
 
-let main only list_only no_bechamel smoke json_file =
+let main only list_only json_file =
   if list_only then begin
     List.iter
       (fun (e : Common.experiment) -> Printf.printf "%-4s %s\n" e.Common.id e.Common.title)
@@ -136,19 +86,11 @@ let main only list_only no_bechamel smoke json_file =
       prerr_endline "no matching experiments (try --list)";
       1
     end
-    else if smoke then begin
-      run_smoke selected;
-      0
-    end
-    else if json_file <> "" then begin
-      run_json json_file selected;
-      0
-    end
     else begin
       Printf.printf "Mach duality reproduction — experiment harness\n";
       Printf.printf "==============================================\n";
-      List.iter run_experiment selected;
-      if not no_bechamel then run_bechamel selected;
+      let results = List.map run_experiment selected in
+      if json_file <> "" then write_json json_file results;
       0
     end
   end
@@ -163,24 +105,14 @@ let list_only =
   let doc = "List experiments and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
 
-let no_bechamel =
-  let doc = "Skip the bechamel wall-clock microbench suite." in
-  Arg.(value & flag & info [ "no-bechamel" ] ~doc)
-
-let smoke =
-  let doc = "Run each experiment once with tiny parameters (sanity pass, no tables)." in
-  Arg.(value & flag & info [ "smoke" ] ~doc)
-
 let json_file =
   let doc =
-    "Write machine-readable per-experiment numbers to $(docv) (JSON, one object per \
-     experiment) instead of printing tables."
+    "Also write the metrics of this run to $(docv) (JSON, one object per experiment)."
   in
   Arg.(value & opt string "" & info [ "json" ] ~doc ~docv:"FILE")
 
 let cmd =
   let doc = "Reproduce the evaluation of the Mach memory/communication duality paper" in
-  Cmd.v (Cmd.info "mach-bench" ~doc)
-    Term.(const main $ only $ list_only $ no_bechamel $ smoke $ json_file)
+  Cmd.v (Cmd.info "mach-bench" ~doc) Term.(const main $ only $ list_only $ json_file)
 
 let () = exit (Cmd.eval' cmd)

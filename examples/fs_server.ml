@@ -1,4 +1,4 @@
-(* Quickstart: boot a simulated Mach kernel, run the §4.1 filesystem
+(* Boot a simulated Mach kernel, run the §4.1 filesystem
    scenario from the paper's own example code:
 
      fs_read_file("filename", &file_data, file_size);
@@ -6,7 +6,7 @@
      fs_write_file("filename", file_data, file_size/2);
      vm_deallocate(task_self(), file_data, file_size);
 
-   Run with: dune exec examples/quickstart.exe *)
+   Run with: dune exec examples/fs_server.exe *)
 
 open Mach
 module Minimal_fs = Mach_pagers.Minimal_fs
@@ -82,4 +82,4 @@ let () =
                (fun (k, v) -> if v > 0 then Printf.printf "  %-24s %d\n" k v)
                (Metrics.values vs.Syscalls.vs_stats.Vm_types.s_group))));
   Engine.run sys.Kernel.engine;
-  print_endline "\nquickstart finished."
+  print_endline "\nfs_server finished."

@@ -1,6 +1,7 @@
 (* The bench gate's evaluation: a key resolves within its own
-   experiment's section, a missing key or section fails its rule, and
-   any violated bound turns the exit code to 1. *)
+   experiment's section, a missing key or section fails its rule, any
+   violated bound turns the exit code to 1, and a baseline key that
+   moved is reported without failing. *)
 
 open Alcotest
 
@@ -38,6 +39,14 @@ let test_missing () =
   check int "missing section" 1 (gate [ ("E9", [ Gate.ge "k" 0.0 ]) ]);
   check int "missing baseline" 1 (gate [ ("E1", [ Gate.at_least_baseline "k" ]) ])
 
+let test_drift () =
+  (* E2.k is 6 in the baseline and 5 in the run; no rule reads it. *)
+  check bool "the moved key is reported" true
+    (Gate.drift ~current:suite ~baselines = [ ("E2", "k", 6.0, Some 5.0) ]);
+  check int "drift alone exits 0" 0 (gate [ ("E1", [ Gate.le "k" 1.0 ]) ]);
+  check int "no drift against itself" 0
+    (List.length (Gate.drift ~current:suite ~baselines:suite))
+
 let test_violated_bound () =
   check int "all bounds hold" 0
     (gate [ ("E1", [ Gate.le "k" 1.0; Gate.eq "reg.x" 4.0 ]); ("E2", [ Gate.ge "k" 5.0 ]) ]);
@@ -55,5 +64,6 @@ let () =
           test_case "keys resolve per experiment section" `Quick test_sections;
           test_case "a missing key fails" `Quick test_missing;
           test_case "a violated bound exits non-zero" `Quick test_violated_bound;
+          test_case "baseline drift is reported, not failed" `Quick test_drift;
         ] );
     ]
