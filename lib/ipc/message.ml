@@ -17,7 +17,7 @@ and header = {
 and item =
   | Data of bytes
   | Caps of cap list
-  | Ool of ool
+  | Ool of bytes
   | Ool_region of ool_region
   | Ool_copy of copy_object
 
@@ -25,8 +25,6 @@ and ool_region = { src_task : int; src_addr : int; region_size : int }
 and copy_object = { cp_size : int; cp_payload : copy_payload }
 and cap = { cap_port : port; cap_right : right }
 and right = Send_right | Receive_right
-and ool = { ool_data : bytes; transfer : transfer_mode }
-and transfer_mode = Copy_transfer | Map_transfer
 and port = t Port.t
 
 type copy_payload += Net_copy of { nc_object : port }
@@ -37,46 +35,47 @@ let copy_handle_bytes = 16
 let make ?reply ?(msg_id = 0) ~dest body =
   { header = { dest; reply; msg_id; handoff = None; trace_span = -1 }; body }
 
+(* An [Ool_region] is a send-side request: the sending syscall resolves
+   it into an [Ool_copy] before the message reaches the transport, so
+   no cost function can price one. *)
+let unresolved () = invalid_arg "Message: unresolved Ool_region (send it through Syscalls)"
+
 let inline_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
       | Data b -> acc + Bytes.length b
-      | Ool { ool_data; transfer = Copy_transfer } -> acc + Bytes.length ool_data
-      | Ool { transfer = Map_transfer; _ } | Caps _ | Ool_region _ | Ool_copy _ -> acc)
+      | Ool _ | Caps _ | Ool_region _ | Ool_copy _ -> acc)
     0 t.body
 
 let mapped_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
-      | Ool { ool_data; transfer = Map_transfer } -> acc + Bytes.length ool_data
-      | Ool_region r -> acc + r.region_size
+      | Ool b -> acc + Bytes.length b
       | Ool_copy c -> acc + c.cp_size
-      | Ool { transfer = Copy_transfer; _ } | Data _ | Caps _ -> acc)
+      | Ool_region _ -> unresolved ()
+      | Data _ | Caps _ -> acc)
     0 t.body
 
 let carried_mapped_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
-      | Ool { ool_data; transfer = Map_transfer } -> acc + Bytes.length ool_data
-      | Ool_region r -> acc + r.region_size
-      | Ool_copy _ | Ool { transfer = Copy_transfer; _ } | Data _ | Caps _ -> acc)
+      | Ool b -> acc + Bytes.length b
+      | Ool_region _ -> unresolved ()
+      | Ool_copy _ | Data _ | Caps _ -> acc)
     0 t.body
 
 let wire_bytes t =
   List.fold_left
     (fun acc item ->
       match item with
-      | Data b -> acc + Bytes.length b
-      | Ool { ool_data; _ } -> acc + Bytes.length ool_data
-      | Ool_region _ -> acc + copy_handle_bytes
+      | Data b | Ool b -> acc + Bytes.length b
       | Ool_copy _ -> acc + copy_handle_bytes
+      | Ool_region _ -> unresolved ()
       | Caps _ -> acc)
     0 t.body
-
-let total_bytes t = inline_bytes t + mapped_bytes t
 
 let data_exn t =
   let rec find = function
@@ -93,17 +92,7 @@ let caps t =
 
 let ool_payloads t =
   List.filter_map
-    (function Ool o -> Some o.ool_data | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
-    t.body
-
-let ool_regions t =
-  List.filter_map
-    (function Ool_region r -> Some r | Data _ | Caps _ | Ool _ | Ool_copy _ -> None)
-    t.body
-
-let ool_copies t =
-  List.filter_map
-    (function Ool_copy c -> Some c | Data _ | Caps _ | Ool _ | Ool_region _ -> None)
+    (function Ool b -> Some b | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
     t.body
 
 let pp fmt t =

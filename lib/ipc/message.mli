@@ -29,12 +29,18 @@ and header = {
 and item =
   | Data of bytes  (** inline typed data: moved by copying *)
   | Caps of cap list  (** port capabilities *)
-  | Ool of ool  (** out-of-line memory region (payload carried) *)
+  | Ool of bytes
+      (** a pager payload ([pager_data_provided], [pager_data_write])
+          carried with the message and charged one map operation per
+          page, as if mapped. *)
   | Ool_region of ool_region
-      (** out-of-line *address-space region* as named by the sender: the
-          kernel resolves it into an {!Ool_copy} at send time
-          ([vm_map_copyin]); unresolved regions are mapped eagerly at
-          receive time (legacy path). *)
+      (** out-of-line *address-space region* as named by the sender: a
+          send-side request only. [Syscalls.msg_send] and
+          [Syscalls.msg_rpc] resolve it into an {!Ool_copy} before the
+          message leaves ([vm_map_copyin]). {!mapped_bytes},
+          {!carried_mapped_bytes} and {!wire_bytes} raise
+          [Invalid_argument] on one, so a raw [Transport.send] cannot
+          carry it. *)
   | Ool_copy of copy_object
       (** a kernel-held copy object: the snapshot of a sender region
           taken at send time. The message carries only this handle — no
@@ -50,19 +56,6 @@ and copy_object = {
 
 and cap = { cap_port : port; cap_right : right }
 and right = Send_right | Receive_right
-
-and ool = {
-  ool_data : bytes;
-  transfer : transfer_mode;
-}
-
-and transfer_mode =
-  | Copy_transfer  (** physical copy: cost scales with size *)
-  | Map_transfer
-      (** virtual (copy-on-write) transfer: constant mapping cost per
-          page; this is the memory/communication duality applied to
-          large messages *)
-
 and port = t Port.t
 
 type copy_payload += Net_copy of { nc_object : port }
@@ -76,25 +69,22 @@ val copy_handle_bytes : int
 val make : ?reply:port -> ?msg_id:int -> dest:port -> item list -> t
 
 val inline_bytes : t -> int
-(** Bytes that must be physically copied to transfer this message
-    (inline data plus [Copy_transfer] out-of-line regions). *)
+(** Bytes that must be physically copied to transfer this message: the
+    [Data] items. *)
 
 val mapped_bytes : t -> int
-(** Bytes moved by mapping ([Map_transfer] regions, unresolved
-    [Ool_region]s, and copy objects). *)
+(** Bytes moved by mapping: carried [Ool] payloads and copy objects. *)
 
 val carried_mapped_bytes : t -> int
-(** Mapped bytes whose payload still travels with the message (legacy
-    [Map_transfer] [Ool] items and unresolved [Ool_region]s) — the
-    portion {!Transport.send_cost_us} must still charge map ops for.
-    [Ool_copy] items are excluded: copyin/copyout charge their own. *)
+(** Mapped bytes whose payload still travels with the message (the
+    [Ool] items) — the portion {!Transport.send_cost_us} must still
+    charge map ops for. [Ool_copy] items are excluded: copyin/copyout
+    charge their own. *)
 
 val wire_bytes : t -> int
 (** Bytes that cross the network for a remote send: inline data, carried
-    out-of-line payloads, and a fixed {!copy_handle_bytes} per copy
-    handle (the zero-copy win: the snapshot's pages do not travel). *)
-
-val total_bytes : t -> int
+    [Ool] payloads, and a fixed {!copy_handle_bytes} per copy handle
+    (the zero-copy win: the snapshot's pages do not travel). *)
 
 val data_exn : t -> bytes
 (** The first [Data] item; raises [Not_found] if none. *)
@@ -103,7 +93,6 @@ val caps : t -> cap list
 (** All capabilities in body order. *)
 
 val ool_payloads : t -> bytes list
-val ool_regions : t -> ool_region list
-val ool_copies : t -> copy_object list
+(** The carried [Ool] payloads in body order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,12 +3,12 @@
 
     Cost model (charged in simulated time to the calling thread):
     - a fixed per-message software overhead ([msg_overhead_us]);
-    - inline and [Copy_transfer] out-of-line bytes cost a physical copy
-      (derived from the machine's page-copy rate);
-    - [Map_transfer] out-of-line payloads carried in the message cost
-      one map operation per page — the duality's win for large
-      messages; [Ool_copy] handles cost nothing here (copyin charged
-      its map ops already, copyout/fault pay theirs lazily);
+    - inline [Data] bytes cost a physical copy (derived from the
+      machine's page-copy rate);
+    - carried [Ool] payloads cost one map operation per page — the
+      duality's win for large messages; [Ool_copy] handles cost
+      nothing here (copyin charged its map ops already, copyout/fault
+      pay theirs lazily);
     - cross-host destinations add network transit (latency + wire
       bytes / BW — copy-object pages do not transit); the sender does
       not wait for remote queueing. *)
@@ -20,7 +20,7 @@ module Metrics = Mach_util.Metrics
 type ipc_stats = {
   s_group : Metrics.group;
   s_msgs_sent : Metrics.counter;
-  s_bytes_copied : Metrics.counter;  (** inline + [Copy_transfer] bytes physically copied at send *)
+  s_bytes_copied : Metrics.counter;  (** inline [Data] bytes physically copied at send *)
   s_bytes_mapped : Metrics.counter;  (** bytes moved by mapping (incl. copy objects) *)
   s_copyins : Metrics.counter;  (** [vm_map_copyin] snapshots taken *)
   s_lazy_copyout_faults : Metrics.counter;  (** faults materializing lazily copied-out pages *)

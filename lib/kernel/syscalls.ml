@@ -15,34 +15,42 @@ let enter t =
 
 (* --- Table 3-1 ---------------------------------------------------------- *)
 
-(* Resolve out-of-line regions named by the sending task into kernel
-   copy objects (vm_map_copyin) at send time: the message leaves with a
-   handle, never the bytes. Local destinations carry the vm_copy
-   directly; remote ones carry a netmem-style memory-object export that
-   the receiving kernel pages on demand. *)
+(* Resolve the out-of-line regions a message names into kernel copy
+   objects (vm_map_copyin) at send time: the message leaves with a
+   handle, never the bytes, and later writes by the sender cannot reach
+   it. Local destinations carry the vm_copy directly; remote ones carry
+   a netmem-style memory-object export that the receiving kernel pages
+   on demand. A region may only name the sender's own address space;
+   that is checked before any snapshot is taken. Most messages carry none, so that case returns the message without
+   allocating. *)
+let rec has_region = function
+  | [] -> false
+  | Message.Ool_region _ :: _ -> true
+  | (Message.Data _ | Message.Caps _ | Message.Ool _ | Message.Ool_copy _) :: rest ->
+    has_region rest
+
 let resolve_ool t msg =
-  let is_mine = function
-    | Message.Ool_region r -> r.Message.src_task = t.t_id
-    | Message.Data _ | Message.Caps _ | Message.Ool _ | Message.Ool_copy _ -> false
-  in
-  if not (List.exists is_mine msg.Message.body) then msg
+  if not (has_region msg.Message.body) then msg
   else begin
+    List.iter
+      (function
+        | Message.Ool_region r when r.Message.src_task <> t.t_id ->
+          invalid_arg "Syscalls: Ool_region names another task's address space"
+        | _ -> ())
+      msg.Message.body;
     let kctx = t.t_kernel.k_kctx in
     let dest = msg.Message.header.dest in
     let local = Mach_ipc.Port.home dest = t.t_node.Transport.node_host in
-    let resolve item =
-      if not (is_mine item) then item
-      else
-        match item with
-        | Message.Ool_region { Message.src_addr; region_size; _ } ->
-          let copy = Vm_map.copyin t.t_map ~addr:src_addr ~size:region_size in
-          let size = Vm_map.copy_size copy in
-          let payload =
-            if local then Vm_map.Vm_copy_handle copy
-            else Message.Net_copy { nc_object = Mach_vm.Copy_server.export kctx copy }
-          in
-          Message.Ool_copy { Message.cp_size = size; cp_payload = payload }
-        | item -> item
+    let resolve = function
+      | Message.Ool_region { Message.src_addr; region_size; _ } ->
+        let copy = Vm_map.copyin t.t_map ~addr:src_addr ~size:region_size in
+        let size = Vm_map.copy_size copy in
+        let payload =
+          if local then Vm_map.Vm_copy_handle copy
+          else Message.Net_copy { nc_object = Mach_vm.Copy_server.export kctx copy }
+        in
+        Message.Ool_copy { Message.cp_size = size; cp_payload = payload }
+      | item -> item
     in
     { msg with Message.body = List.map resolve msg.Message.body }
   end
@@ -57,7 +65,7 @@ let msg_receive t ?(from = `Any) ?timeout () =
 
 let msg_rpc t msg ?send_timeout ?recv_timeout () =
   enter t;
-  Transport.rpc t.t_node t.t_space msg ?send_timeout ?recv_timeout ()
+  Transport.rpc t.t_node t.t_space (resolve_ool t msg) ?send_timeout ?recv_timeout ()
 
 (* --- Table 3-2 ---------------------------------------------------------- *)
 
@@ -208,17 +216,7 @@ let vm_allocate_with_pager t ?addr ~size ~anywhere ~memory_object ~offset () =
   Mach_vm.Pager_client.ensure_initialized kctx obj;
   Vm_map.allocate_with_object t.t_map ?addr ~size ~anywhere ~obj ~offset ()
 
-(* --- region transfer ---------------------------------------------------- *)
-
-let transfer_region ~from_task ~to_task ~addr ~size =
-  enter from_task;
-  if from_task.t_kernel != to_task.t_kernel then
-    invalid_arg "Syscalls.transfer_region: tasks on different hosts";
-  let kctx = from_task.t_kernel.k_kctx in
-  let pages = Kctx.pages_of_bytes kctx size in
-  Cpu.compute from_task.t_kernel
-    (float_of_int pages *. from_task.t_kernel.k_params.Mach_hw.Machine.map_op_us);
-  Vm_map.copy_region ~src:from_task.t_map ~src_addr:addr ~size ~dst:to_task.t_map ()
+(* --- out-of-line regions ------------------------------------------------ *)
 
 let ool_region t ~addr ~size =
   Message.Ool_region { Message.src_task = t.t_id; src_addr = addr; region_size = size }
@@ -248,15 +246,7 @@ let map_ool t msg =
         in
         Some (addr, cp_size)
       | Message.Ool_copy _ -> invalid_arg "Syscalls.map_ool: unknown copy payload"
-      | Message.Ool_region { Message.src_task; src_addr; region_size } -> (
-        (* Legacy eager path: the region was never resolved at send
-           time; both tasks must share this kernel. *)
-        match List.find_opt (fun x -> x.t_id = src_task) t.t_kernel.k_tasks with
-        | None -> invalid_arg "Syscalls.map_ool: source task not on this host (or dead)"
-        | Some src ->
-          let addr = transfer_region ~from_task:src ~to_task:t ~addr:src_addr ~size:region_size in
-          Some (addr, region_size))
-      | Message.Data _ | Message.Caps _ | Message.Ool _ -> None)
+      | Message.Data _ | Message.Caps _ | Message.Ool _ | Message.Ool_region _ -> None)
     msg.Message.body
 
 (* --- memory access ------------------------------------------------------ *)

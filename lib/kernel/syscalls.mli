@@ -13,12 +13,13 @@ module Prot = Mach_hw.Prot
 (** {2 Table 3-1: primitive message operations} *)
 
 val msg_send : task -> ?timeout:float -> Message.t -> (unit, Transport.send_error) result
-(** [Ool_region] items naming the caller's address space are resolved
-    into kernel copy objects before the send ([vm_map_copyin]): the
-    sender's pages are COW-protected at O(pages) map cost and the
-    message carries only a handle. Remote destinations get a
-    netmem-style memory-object export instead, paged over the wire on
-    demand. *)
+(** [Ool_region] items are resolved into kernel copy objects before the
+    send ([vm_map_copyin]): the sender's pages are COW-protected at
+    O(pages) map cost and the message carries only a handle, so the
+    receiver sees the region as it was at the send. Remote destinations
+    get a netmem-style memory-object export instead, paged over the wire
+    on demand. Raises [Invalid_argument] if an [Ool_region] names
+    another task's address space. *)
 
 val msg_receive :
   task ->
@@ -34,6 +35,8 @@ val msg_rpc :
   ?recv_timeout:float ->
   unit ->
   (Message.t, [ `Send of Transport.send_error | `Recv of Transport.recv_error ]) result
+(** Send then wait on the message's reply port. The request's
+    [Ool_region] items are resolved exactly as by {!msg_send}. *)
 
 (** {2 Table 3-2: port operations} *)
 
@@ -103,27 +106,22 @@ val vm_allocate_with_pager :
     for the manager. Mapping this way gives direct read/write access to
     the object, not a copy (footnote 7). *)
 
-(** {2 Kernel-mediated region transfer}
+(** {2 Out-of-line regions}
 
-    The mechanism behind out-of-line data in messages: a virtual
-    (copy-on-write) transfer of whole pages between two tasks on the
-    same host, costing one map operation per page instead of a copy.
-    Senders put the returned address in their reply message
-    (exactly how [fs_read_file] returns file contents, §4.1). *)
-
-val transfer_region : from_task:task -> to_task:task -> addr:int -> size:int -> int
+    Out-of-line data moves by copy-on-write mapping: a snapshot at send
+    ([vm_map_copyin]) and a lazy mapping at receive ([vm_map_copyout]),
+    one map operation per page instead of a copy (exactly how
+    [fs_read_file] returns file contents, §4.1). *)
 
 val ool_region : task -> addr:int -> size:int -> Message.item
 (** Build a message item that transfers [addr, addr+size) of the
     sender's address space by mapping. *)
 
 val map_ool : task -> Message.t -> (int * int) list
-(** Map every out-of-line region of a received message into the calling
+(** Map every copy object of a received message into the calling
     task's address space; returns (address, size) pairs in body order.
-    [Ool_copy] handles go through lazy [vm_map_copyout] (local) or a
-    demand-paged mapping of the sender's export (remote [Net_copy]);
-    legacy unresolved [Ool_region] items are transferred eagerly and
-    require sender and receiver to share a host kernel. *)
+    Local handles go through lazy [vm_map_copyout]; remote [Net_copy]
+    handles become a demand-paged mapping of the sender's export. *)
 
 (** {2 Memory access (simulated loads/stores by task code)} *)
 

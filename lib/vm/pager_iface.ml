@@ -65,8 +65,6 @@ let enc f =
   f e;
   Message.Data (Codec.Enc.to_bytes e)
 
-let ool data = Message.Ool { ool_data = data; transfer = Message.Map_transfer }
-
 let encode_k2m ~reply call ~dest =
   match call with
   | Init { memory_object = _; request; name } ->
@@ -86,7 +84,7 @@ let encode_k2m ~reply call ~dest =
         enc (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.int e write_id);
-        ool data;
+        Message.Ool data;
       ]
   | Data_unlock { memory_object = _; request; offset; length; desired_access } ->
     Message.make ?reply ~msg_id:id_data_unlock ~dest
@@ -120,7 +118,7 @@ let encode_m2k call ~request =
         enc (fun e ->
             Codec.Enc.int e offset;
             Codec.Enc.u8 e (Prot.to_int lock_value));
-        ool data;
+        Message.Ool data;
       ]
   | Data_lock { offset; length; lock_value } ->
     Message.make ~msg_id:id_data_lock ~dest

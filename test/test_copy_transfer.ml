@@ -1,6 +1,6 @@
 (* Copy semantics of out-of-line message transfer.
 
-   msg_send snapshots Ool_region items into kernel copy objects
+   msg_send and msg_rpc snapshot Ool_region items into kernel copy objects
    (vm_map_copyin): from that instant the message's contents are fixed.
    The receiver's map_ool attaches the snapshot lazily (vm_map_copyout)
    and its pages materialize through the fault path. Both directions of
@@ -10,6 +10,7 @@
 
 open Mach
 module Metrics = Mach_util.Metrics
+module Codec = Mach_util.Codec
 
 let check = Alcotest.check
 let page = 4096
@@ -162,6 +163,127 @@ let test_remote_copy_transfer () =
     check Alcotest.string "receiver writes stay local" "local-scribble!" after;
     Alcotest.(check bool) "export torn down after unmap" false export_alive
 
+(* Out-of-line RPCs to a multi-threaded server: every request is
+   snapshotted at send, so the service threads only ever copy out, and
+   their concurrent map_ool / touch / vm_deallocate cycles must give
+   each request its own range of the server's map holding exactly the
+   sender's pages. *)
+let test_concurrent_rpc_map_ool () =
+  let clients = 4 and server_threads = 4 and iters = 6 and pages = 8 in
+  let stamp ~client ~iter ~pg = Printf.sprintf "c%d.i%d.p%d" client iter pg in
+  let params = { Machine.multimax with Machine.cpus = 4 } in
+  with_system ~config:{ Kernel.default_config with Kernel.params = params } (fun sys _ ->
+      let kernel = sys.Kernel.kernel in
+      let server = Task.create kernel ~name:"server" () in
+      let svc = Syscalls.port_allocate server ~backlog:(2 * clients) () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space server) svc in
+      let serve () =
+        let rec loop () =
+          match Syscalls.msg_receive server ~from:(`Port svc) () with
+          | Error _ -> ()
+          | Ok msg ->
+            let d = Codec.Dec.of_bytes (Message.data_exn msg) in
+            let client = Codec.Dec.int d in
+            let iter = Codec.Dec.int d in
+            let status =
+              match Syscalls.map_ool server msg with
+              | [ (addr, size) ] ->
+                let bad =
+                  List.find_opt
+                    (fun pg ->
+                      let want = stamp ~client ~iter ~pg in
+                      let va = addr + (pg * page) in
+                      match Syscalls.read_bytes server ~addr:va ~len:(String.length want) () with
+                      | Ok b -> Bytes.to_string b <> want
+                      | Error _ -> true)
+                    (List.init pages Fun.id)
+                in
+                (* A server write must stay in the server's copy. *)
+                ignore (Syscalls.write_bytes server ~addr (Bytes.of_string "server") ());
+                Syscalls.vm_deallocate server ~addr ~size;
+                (match bad with
+                | None -> "ok"
+                | Some pg -> Printf.sprintf "client %d iter %d: page %d wrong" client iter pg)
+              | regions -> Printf.sprintf "%d regions" (List.length regions)
+            in
+            (match msg.Message.header.Message.reply with
+            | Some reply ->
+              ignore
+                (Syscalls.msg_send server
+                   (Message.make ~dest:reply [ Message.Data (Bytes.of_string status) ]))
+            | None -> ());
+            loop ()
+        in
+        loop ()
+      in
+      for i = 1 to server_threads do
+        ignore (Thread.spawn server ~name:(Printf.sprintf "server.%d" i) serve)
+      done;
+      let client_main client task reply_port () =
+        let size = pages * page in
+        List.init iters (fun iter ->
+            let addr = Syscalls.vm_allocate task ~size ~anywhere:true () in
+            for pg = 0 to pages - 1 do
+              write_str task ~addr:(addr + (pg * page)) (stamp ~client ~iter ~pg)
+            done;
+            let e = Codec.Enc.create () in
+            Codec.Enc.int e client;
+            Codec.Enc.int e iter;
+            let msg =
+              Message.make ~dest:svc_port ~reply:reply_port
+                [ Message.Data (Codec.Enc.to_bytes e); Syscalls.ool_region task ~addr ~size ]
+            in
+            let status =
+              match Syscalls.msg_rpc task msg () with
+              | Ok reply ->
+                let want = stamp ~client ~iter ~pg:0 in
+                if read_str task ~addr ~len:(String.length want) <> want then
+                  "server write leaked back"
+                else Bytes.to_string (Message.data_exn reply)
+              | Error _ -> "rpc failed"
+            in
+            (* The snapshot was taken at send: the sender may scribble
+               and free the region while the server still holds it. *)
+            Syscalls.vm_deallocate task ~addr ~size;
+            status)
+      in
+      let results =
+        List.init clients (fun client ->
+            let task = Task.create kernel ~name:(Printf.sprintf "client%d" client) () in
+            let reply = Syscalls.port_allocate task () in
+            let reply_port = Mach_ipc.Port_space.lookup_exn (Task.space task) reply in
+            let done_ = Ivar.create () in
+            ignore
+              (Thread.spawn task ~name:(Printf.sprintf "client%d.main" client) (fun () ->
+                   Ivar.fill done_ (client_main client task reply_port ())));
+            done_)
+        |> List.concat_map Ivar.read
+      in
+      List.iter (check Alcotest.string "every page carries its sender's stamp" "ok") results;
+      (match Vm_map.check_invariants (Task.map server) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "server map: %s" e);
+      check Alcotest.int "every region deallocated" 0 (Vm_map.size (Task.map server)))
+
+(* A region is a request to snapshot the sender's own memory; naming
+   another task's address space is refused before anything moves. *)
+let test_foreign_region_rejected () =
+  with_system (fun sys sender ->
+      let other = Task.create sys.Kernel.kernel ~name:"other" () in
+      let addr = Syscalls.vm_allocate other ~size:page ~anywhere:true () in
+      let svc = Syscalls.port_allocate other ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space other) svc in
+      let reply = Syscalls.port_allocate sender () in
+      let reply_port = Mach_ipc.Port_space.lookup_exn (Task.space sender) reply in
+      let foreign = Syscalls.ool_region other ~addr ~size:page in
+      let rejected f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      Alcotest.(check bool) "msg_send rejects it" true
+        (rejected (fun () -> Syscalls.msg_send sender (Message.make ~dest:svc_port [ foreign ])));
+      Alcotest.(check bool) "msg_rpc rejects it" true
+        (rejected (fun () ->
+             Syscalls.msg_rpc sender (Message.make ~dest:svc_port ~reply:reply_port [ foreign ]) ()));
+      check Alcotest.(list int) "nothing was queued" [] (Syscalls.port_messages other))
+
 (* qcheck: the lazy pipeline must be observationally equal to an eager
    Bytes.blit snapshot at every send, for any interleaving of sends and
    single-byte sender writes. *)
@@ -224,6 +346,12 @@ let () =
             test_receiver_writes_do_not_leak;
           Alcotest.test_case "copyin eager, copy-out faults lazy" `Quick
             test_lazy_copyout_faults_counted;
+          Alcotest.test_case "foreign region rejected at send" `Quick test_foreign_region_rejected;
+        ] );
+      ( "concurrent",
+        [
+          Alcotest.test_case "rpc to 4 service threads keeps the map disjoint" `Quick
+            test_concurrent_rpc_map_ool;
         ] );
       ("remote", [ Alcotest.test_case "cross-host snapshot" `Quick test_remote_copy_transfer ]);
       ("property", [ QCheck_alcotest.to_alcotest copy_oracle_prop ]);

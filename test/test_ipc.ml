@@ -83,18 +83,28 @@ let test_message_accounting () =
       [
         data "12345";
         Message.Caps [ { Message.cap_port = cap; cap_right = Message.Send_right } ];
-        Message.Ool { Message.ool_data = Bytes.create 100; transfer = Message.Copy_transfer };
-        Message.Ool { Message.ool_data = Bytes.create 200; transfer = Message.Map_transfer };
-        Message.Ool_region { Message.src_task = 1; src_addr = 0; region_size = 300 };
+        Message.Data (Bytes.create 100);
+        Message.Ool (Bytes.create 200);
+        Message.Ool_copy
+          { Message.cp_size = 300; cp_payload = Message.Net_copy { nc_object = cap } };
       ]
   in
-  check Alcotest.int "inline = data + copy-ool" 105 (Message.inline_bytes msg);
-  check Alcotest.int "mapped = map-ool + region" 500 (Message.mapped_bytes msg);
-  check Alcotest.int "total" 605 (Message.total_bytes msg);
+  check Alcotest.int "inline = data" 105 (Message.inline_bytes msg);
+  check Alcotest.int "mapped = ool + copy object" 500 (Message.mapped_bytes msg);
+  check Alcotest.int "carried mapped = ool" 200 (Message.carried_mapped_bytes msg);
+  check Alcotest.int "wire = data + ool + one handle" (305 + Message.copy_handle_bytes)
+    (Message.wire_bytes msg);
   check Alcotest.int "caps" 1 (List.length (Message.caps msg));
   check Alcotest.string "data_exn" "12345" (Bytes.to_string (Message.data_exn msg));
-  check Alcotest.int "ool payloads" 2 (List.length (Message.ool_payloads msg));
-  check Alcotest.int "ool regions" 1 (List.length (Message.ool_regions msg))
+  check Alcotest.int "ool payloads" 1 (List.length (Message.ool_payloads msg));
+  (* A region is resolved by the sending syscall; the transport cannot
+     price one. *)
+  let unresolved =
+    Message.make ~dest [ Message.Ool_region { Message.src_task = 1; src_addr = 0; region_size = 300 } ]
+  in
+  match Message.mapped_bytes unresolved with
+  | _ -> Alcotest.fail "an unresolved Ool_region must not be priced"
+  | exception Invalid_argument _ -> ()
 
 (* ---- port space ------------------------------------------------------------- *)
 
@@ -347,12 +357,8 @@ let test_send_cost_scales_with_mode () =
   let _, _, ctx = make_ctx () in
   let dest = Port.create ctx ~home:0 () in
   let big = Bytes.create 65536 in
-  let copy_msg =
-    Message.make ~dest [ Message.Ool { Message.ool_data = big; transfer = Message.Copy_transfer } ]
-  in
-  let map_msg =
-    Message.make ~dest [ Message.Ool { Message.ool_data = big; transfer = Message.Map_transfer } ]
-  in
+  let copy_msg = Message.make ~dest [ Message.Data big ] in
+  let map_msg = Message.make ~dest [ Message.Ool big ] in
   let c = Transport.send_cost_us n copy_msg in
   let m = Transport.send_cost_us n map_msg in
   Alcotest.(check bool) "copy much dearer than map" true (c > 3.0 *. m)

@@ -123,37 +123,6 @@ let test_vm_statistics_reporting () =
 
 )
 
-let test_transfer_region_and_map_ool () =
-  with_system (fun sys task ->
-      let recv = Task.create sys.Kernel.kernel ~name:"receiver" () in
-      let addr = Syscalls.vm_allocate task ~size:(2 * page) ~anywhere:true () in
-      ignore (Syscalls.write_bytes task ~addr (Bytes.of_string "ool-payload") ());
-      let svc = Syscalls.port_allocate recv () in
-      let svc_port = Port_space.lookup_exn (Task.space recv) svc in
-      let finished = Ivar.create () in
-      ignore
-        (Thread.spawn recv ~name:"receiver.main" (fun () ->
-             match Syscalls.msg_receive recv ~from:(`Port svc) () with
-             | Ok msg -> (
-               match Syscalls.map_ool recv msg with
-               | [ (raddr, rsize) ] ->
-                 check Alcotest.int "size" (2 * page) rsize;
-                 (match Syscalls.read_bytes recv ~addr:raddr ~len:11 () with
-                 | Ok b -> Ivar.fill finished (Bytes.to_string b)
-                 | Error e -> Alcotest.failf "receiver read: %a" Access.pp_error e)
-               | _ -> Alcotest.fail "expected one region")
-             | Error _ -> Alcotest.fail "receive failed"));
-      (match
-         Syscalls.msg_send task
-           (Message.make ~dest:svc_port [ Syscalls.ool_region task ~addr ~size:(2 * page) ])
-       with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "send failed");
-      check Alcotest.string "payload mapped" "ool-payload" (Ivar.read finished);
-      (* Receiver's copy is COW-isolated from the sender. *)
-      ignore (Syscalls.write_bytes task ~addr (Bytes.of_string "MUTATED") ());
-      ())
-
 let test_fork_inherits_port_space_not () =
   (* Port spaces are per-task and NOT inherited (only memory is). *)
   with_system (fun sys task ->
@@ -180,6 +149,5 @@ let () =
           Alcotest.test_case "vm read/write/copy" `Quick test_vm_syscall_integration;
           Alcotest.test_case "cross-task vm_read/vm_write" `Quick test_vm_read_other_task;
           Alcotest.test_case "vm_statistics" `Quick test_vm_statistics_reporting;
-          Alcotest.test_case "ool region transfer" `Quick test_transfer_region_and_map_ool;
         ] );
     ]

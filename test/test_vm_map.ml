@@ -197,14 +197,33 @@ let test_fork_copy_sets_needs_copy () =
     | _ -> Alcotest.fail "expected direct backings")
   | _ -> Alcotest.fail "expected single entries"
 
-let test_copy_region_cow () =
+(* copyin charges its map ops on the host's scheduler, so anything that
+   takes a copy runs inside a simulated thread. *)
+let in_thread kctx f =
+  let result = ref None in
+  Engine.spawn kctx.Kctx.engine ~name:"test" (fun () -> result := Some (f ()));
+  Engine.run kctx.Kctx.engine;
+  match !result with Some r -> r | None -> Alcotest.fail "test thread did not complete"
+
+let test_copyin_copyout_cow () =
   let kctx = make_kctx () in
   let map = make_map kctx in
-  let src = Vm_map.allocate map ~size:(2 * page) ~anywhere:true () in
-  let dst = Vm_map.copy_region ~src:map ~src_addr:src ~size:(2 * page) ~dst:map () in
-  Alcotest.(check bool) "new address" true (dst <> src);
-  check Alcotest.int "doubled size" (8 * page / 2) (Vm_map.size map);
-  invariant_ok map
+  in_thread kctx (fun () ->
+      let src = Vm_map.allocate map ~size:(2 * page) ~anywhere:true () in
+      let copy = Vm_map.copyin map ~addr:src ~size:(2 * page) in
+      let dst = Vm_map.copyout map copy () in
+      Alcotest.(check bool) "new address" true (dst <> src);
+      check Alcotest.int "doubled size" (8 * page / 2) (Vm_map.size map);
+      let needs_copy_everywhere =
+        List.for_all
+          (fun e ->
+            match e.Vm_map.backing with
+            | Vm_map.Direct d -> d.Vm_map.needs_copy
+            | Vm_map.Shared _ -> false)
+          (Vm_map.entries map)
+      in
+      Alcotest.(check bool) "source and copy both COW-pending" true needs_copy_everywhere;
+      invariant_ok map)
 
 let test_object_refcount_on_deallocate () =
   let kctx = make_kctx () in
@@ -254,6 +273,7 @@ let map_invariant_prop =
       let map = make_map kctx in
       let ok = ref true in
       let verify m = match Vm_map.check_invariants m with Ok () -> () | Error _ -> ok := false in
+      in_thread kctx @@ fun () ->
       List.iter
         (fun op ->
           (match op with
@@ -269,8 +289,11 @@ let map_invariant_prop =
             verify child;
             Vm_map.destroy child
           | `Copy (a, s) -> (
-            try ignore (Vm_map.copy_region ~src:map ~src_addr:(a * page) ~size:(s * page) ~dst:map ())
-            with Vm_map.Bad_address _ | Vm_map.No_space -> ()));
+            match Vm_map.copyin map ~addr:(a * page) ~size:(s * page) with
+            | exception Vm_map.Bad_address _ -> ()
+            | copy -> (
+              try ignore (Vm_map.copyout map copy ())
+              with Vm_map.No_space -> Vm_map.copy_discard copy)));
           verify map)
         ops;
       !ok)
@@ -305,7 +328,7 @@ let () =
           Alcotest.test_case "fork share promotes" `Quick test_fork_share_promotes_to_share_map;
           Alcotest.test_case "fork none leaves hole" `Quick test_fork_none_leaves_hole;
           Alcotest.test_case "fork copy sets needs_copy" `Quick test_fork_copy_sets_needs_copy;
-          Alcotest.test_case "copy_region" `Quick test_copy_region_cow;
+          Alcotest.test_case "copyin/copyout" `Quick test_copyin_copyout_cow;
           QCheck_alcotest.to_alcotest map_invariant_prop;
         ] );
     ]
