@@ -55,9 +55,30 @@ let resolve_ool t msg =
     { msg with Message.body = List.map resolve msg.Message.body }
   end
 
+(* A send that failed left nothing queued, so the copy objects it
+   made for its regions have no receiver: drop them, or they hold their
+   objects and frames forever. Only local handles are dropped (a remote
+   export is not), and only those this send made: a copy the caller
+   passed in stays the caller's. *)
+let discard_copies ~sent ~resolved =
+  if sent != resolved then
+    List.iter2
+      (fun item res ->
+        match (item, res) with
+        | Message.Ool_region _, Message.Ool_copy { Message.cp_payload = Vm_map.Vm_copy_handle c; _ }
+          ->
+          Vm_map.copy_discard c
+        | _ -> ())
+      sent.Message.body resolved.Message.body
+
 let msg_send t ?timeout msg =
   enter t;
-  Transport.send t.t_node ?timeout (resolve_ool t msg)
+  let resolved = resolve_ool t msg in
+  match Transport.send t.t_node ?timeout resolved with
+  | Ok () -> Ok ()
+  | Error _ as e ->
+    discard_copies ~sent:msg ~resolved;
+    e
 
 let msg_receive t ?(from = `Any) ?timeout () =
   enter t;
@@ -65,7 +86,12 @@ let msg_receive t ?(from = `Any) ?timeout () =
 
 let msg_rpc t msg ?send_timeout ?recv_timeout () =
   enter t;
-  Transport.rpc t.t_node t.t_space (resolve_ool t msg) ?send_timeout ?recv_timeout ()
+  let resolved = resolve_ool t msg in
+  match Transport.rpc t.t_node t.t_space resolved ?send_timeout ?recv_timeout () with
+  | Error (`Send _) as e ->
+    discard_copies ~sent:msg ~resolved;
+    e
+  | (Ok _ | Error (`Recv _)) as r -> r
 
 (* --- Table 3-2 ---------------------------------------------------------- *)
 

@@ -1,29 +1,37 @@
-(* Binary min-heap on (time, seq) in three parallel arrays — unboxed
-   times, seqs, actions — so that a push or pop allocates nothing. seq
-   breaks ties: same-time events run in insertion order and runs are
-   deterministic. Keys are unique, so any correct heap pops the same
-   sequence. *)
+(* Binary min-heap on (time, seq) in four parallel arrays — unboxed
+   times, seqs, int args and actions — so that a push or pop allocates
+   nothing. seq breaks ties: same-time events run in insertion order and
+   runs are deterministic. Keys are unique, so any correct heap pops the
+   same sequence. [arg] is an int payload for the action: [pop] leaves
+   the popped event's in [h.arg], so one closure shared by many events
+   (a fiber's timer) can tell them apart. *)
 module Heap = struct
   type t = {
     mutable times : float array;
     mutable seqs : int array;
+    mutable args : int array;
     mutable actions : (unit -> unit) array;
     mutable size : int;
+    mutable arg : int; (* arg of the event [pop] returned last *)
   }
 
   let nop () = ()
 
   let create () =
-    { times = Array.make 64 0.0; seqs = Array.make 64 0; actions = Array.make 64 nop; size = 0 }
+    { times = Array.make 64 0.0; seqs = Array.make 64 0; args = Array.make 64 0;
+      actions = Array.make 64 nop; size = 0; arg = 0 }
 
   let grow h =
     let n = 2 * Array.length h.times in
-    let times = Array.make n 0.0 and seqs = Array.make n 0 and actions = Array.make n nop in
+    let times = Array.make n 0.0 and seqs = Array.make n 0 and args = Array.make n 0 in
+    let actions = Array.make n nop in
     Array.blit h.times 0 times 0 h.size;
     Array.blit h.seqs 0 seqs 0 h.size;
+    Array.blit h.args 0 args 0 h.size;
     Array.blit h.actions 0 actions 0 h.size;
     h.times <- times;
     h.seqs <- seqs;
+    h.args <- args;
     h.actions <- actions
 
   (* The helpers below are inlined so that times stay unboxed floats:
@@ -31,11 +39,13 @@ module Heap = struct
   let[@inline] move h ~src ~dst =
     h.times.(dst) <- h.times.(src);
     h.seqs.(dst) <- h.seqs.(src);
+    h.args.(dst) <- h.args.(src);
     h.actions.(dst) <- h.actions.(src)
 
-  let[@inline] place h i time seq action =
+  let[@inline] place h i time seq arg action =
     h.times.(i) <- time;
     h.seqs.(i) <- seq;
+    h.args.(i) <- arg;
     h.actions.(i) <- action
 
   (* Does slot [i] order before the key (time, seq)? Keys are unique,
@@ -50,7 +60,7 @@ module Heap = struct
   let[@inline] min_time h = h.times.(0)
 
   (* Sift a hole up from the new last slot, then fill it. *)
-  let push h time seq action =
+  let[@inline] push h time seq arg action =
     if h.size = Array.length h.times then grow h;
     let i = ref h.size in
     h.size <- h.size + 1;
@@ -59,16 +69,19 @@ module Heap = struct
       move h ~src:p ~dst:!i;
       i := p
     done;
-    place h !i time seq action
+    place h !i time seq arg action
 
-  (* Remove and return the earliest action; the heap must not be empty.
-     The last slot's event sifts down from the root as a hole. *)
+  (* Remove and return the earliest action, leaving its arg in [h.arg];
+     the heap must not be empty. The last slot's event sifts down from
+     the root as a hole. *)
   let pop h =
     let top = h.actions.(0) in
+    h.arg <- h.args.(0);
     let n = h.size - 1 in
     h.size <- n;
     if n > 0 then begin
-      let time = h.times.(n) and seq = h.seqs.(n) and action = h.actions.(n) in
+      let time = h.times.(n) and seq = h.seqs.(n) and arg = h.args.(n) in
+      let action = h.actions.(n) in
       let i = ref 0 and sifting = ref true in
       while !sifting do
         let l = (2 * !i) + 1 in
@@ -83,7 +96,7 @@ module Heap = struct
           else sifting := false
         end
       done;
-      place h !i time seq action
+      place h !i time seq arg action
     end;
     h.actions.(n) <- nop;
     top
@@ -105,12 +118,14 @@ type t = {
   mutable failure : exn option;
 }
 
-(* One record per simulated thread. [f_wake] is allocated once at spawn
-   and resumes the continuation parked in [f_parked], so neither a sleep
-   nor an unpark schedules a closure of its own. [f_ticket] numbers the
+(* One record per simulated thread. [f_wake] and [f_timer] are
+   allocated once at spawn: [f_wake] resumes the continuation parked in
+   [f_parked], so neither a sleep nor an unpark schedules a closure of
+   its own, and [f_timer] ends a timed park. [f_ticket] numbers the
    thread's parks: it moves on when a park ends, so a waiter still
-   holding the old number is stale. [f_timed_out] tells [park_timeout]
-   that its timer, not an unpark, ended the park. *)
+   holding the old number is stale. A timer event carries the ticket of
+   the park it was set for as its heap arg. [f_timed_out] tells
+   [park_timeout] that its timer, not an unpark, ended the park. *)
 and fiber = {
   f_id : int;
   f_name : string;
@@ -118,6 +133,7 @@ and fiber = {
   mutable f_blocked : bool;
   mutable f_parked : (unit, unit) Effect.Deep.continuation option;
   mutable f_wake : unit -> unit;
+  mutable f_timer : unit -> unit;
   mutable f_ticket : int;
   mutable f_timed_out : bool;
 }
@@ -132,16 +148,19 @@ let create () =
    callback runs or outside [run]. *)
 let no_fiber =
   { f_id = -1; f_name = ""; f_eng = create (); f_blocked = false; f_parked = None;
-    f_wake = Heap.nop; f_ticket = 0; f_timed_out = false }
+    f_wake = Heap.nop; f_timer = Heap.nop; f_ticket = 0; f_timed_out = false }
 
 let current = ref no_fiber
 
 let now t = t.clock.now_us
 
-let schedule t ~at action =
+(* Inlined, so that [at] reaches the heap's float array unboxed. *)
+let[@inline] push t at arg action =
   let at = if at < t.clock.now_us then t.clock.now_us else at in
   t.seq <- t.seq + 1;
-  Heap.push t.heap at t.seq action
+  Heap.push t.heap at t.seq arg action
+
+let schedule t ~at action = push t at 0 action
 
 (* Continue [k] as the current fiber. A fiber's own exceptions end in
    its [exnc]; one escaping here came from a handler, and must not
@@ -173,7 +192,24 @@ let on_sleep =
       let t = fib.f_eng in
       fib.f_blocked <- true;
       fib.f_parked <- Some k;
-      schedule t ~at:t.clock.wake_us fib.f_wake)
+      push t t.clock.wake_us 0 fib.f_wake)
+
+(* End the current park: the wake event takes the (time, seq) slot a
+   resume would have, the current instant behind everything already
+   scheduled for it. *)
+let end_park fib =
+  let t = fib.f_eng in
+  fib.f_ticket <- fib.f_ticket + 1;
+  fib.f_blocked <- false;
+  push t t.clock.now_us 0 fib.f_wake
+
+(* A fiber's timer: its event's arg is the ticket of the park it was
+   set for, so it does nothing once an unpark has ended that park. *)
+let timer fib () =
+  if fib.f_ticket = fib.f_eng.heap.Heap.arg then begin
+    fib.f_timed_out <- true;
+    end_park fib
+  end
 
 let on_park =
   Some
@@ -195,9 +231,10 @@ let spawn t ?name f =
   t.next_id <- id + 1;
   let fib =
     { f_id = id; f_name = name; f_eng = t; f_blocked = false; f_parked = None;
-      f_wake = Heap.nop; f_ticket = 0; f_timed_out = false }
+      f_wake = Heap.nop; f_timer = Heap.nop; f_ticket = 0; f_timed_out = false }
   in
   fib.f_wake <- wake fib;
+  fib.f_timer <- timer fib;
   Hashtbl.replace t.fibers id fib;
   let start () =
     let open Effect.Deep in
@@ -287,29 +324,14 @@ let self () =
 let ticket fib = fib.f_ticket
 let waiting fib ticket = fib.f_ticket = ticket
 
-(* End the current park: the wake event takes the (time, seq) slot a
-   resume would have, the current instant behind everything already
-   scheduled for it. *)
-let end_park fib =
-  let t = fib.f_eng in
-  fib.f_ticket <- fib.f_ticket + 1;
-  fib.f_blocked <- false;
-  schedule t ~at:t.clock.now_us fib.f_wake
-
 let park () = Effect.perform Park
 
 (* The timer is scheduled just before the park, and is a no-op if an
    unpark ended this park first. *)
 let park_timeout timeout =
   let fib = self () in
-  let t = fib.f_eng and ticket = fib.f_ticket in
-  schedule t
-    ~at:(t.clock.now_us +. timeout)
-    (fun () ->
-      if fib.f_ticket = ticket then begin
-        fib.f_timed_out <- true;
-        end_park fib
-      end);
+  let t = fib.f_eng in
+  push t (t.clock.now_us +. timeout) fib.f_ticket fib.f_timer;
   Effect.perform Park;
   if fib.f_timed_out then begin
     fib.f_timed_out <- false;

@@ -69,9 +69,9 @@ val yield : unit -> unit
     {!park_timeout}). Whoever wakes it stores what it hands over (a
     value, a flag, a processor) in that record and calls {!unpark}; the
     woken thread reads the record after [park] returns. No closure is
-    allocated per wait: it costs the waiter record, the primitive's
-    queue cell and the parked continuation (and, with a timeout, the
-    timer).
+    allocated per wait, not even for a timeout's timer: a wait costs
+    the parked continuation plus whatever the primitive keeps per
+    waiter.
 
     Each park ends exactly once, by an {!unpark} or by its timeout.
     Ending it moves the fiber's ticket on, so a waiter left behind in a
@@ -85,6 +85,10 @@ type fiber
 val self : unit -> fiber
 (** The calling simulated thread. Raises [Invalid_argument] outside
     one. *)
+
+val no_fiber : fiber
+(** A fiber that never runs or parks: filler for the empty slots of a
+    primitive's arrays. *)
 
 val ticket : fiber -> int
 (** The number of the fiber's next park — or its current one, while it

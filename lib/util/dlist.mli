@@ -4,7 +4,8 @@
     resident page must be removable from the middle of its queue in O(1)
     and must know whether it is currently enqueued (§5.4 of the paper).
 
-    Each element owns a [node] that can be on at most one list at a time. *)
+    Each element owns a [node] that can be on at most one list at a time.
+    Pushing, removing and {!front_value} allocate nothing. *)
 
 type 'a node
 type 'a t
@@ -28,7 +29,9 @@ val push_front : 'a t -> 'a node -> unit
 val pop_front : 'a t -> 'a node option
 (** Dequeue from the head. *)
 
-val peek_front : 'a t -> 'a node option
+val front_value : 'a t -> 'a
+(** The payload at the head, without allocating. Raises
+    [Invalid_argument] on an empty list. *)
 
 val remove : 'a t -> 'a node -> unit
 (** Remove from the middle; raises [Invalid_argument] if the node is not

@@ -39,8 +39,8 @@ let launder t page =
   Dlist.push_back t.laundry (node_of page);
   page.q_state <- Q_laundry
 
-let oldest_active t = Option.map Dlist.value (Dlist.peek_front t.active)
-let oldest_inactive t = Option.map Dlist.value (Dlist.peek_front t.inactive)
+let oldest_active t = Dlist.front_value t.active
+let oldest_inactive t = Dlist.front_value t.inactive
 
 let iter_inactive t f = List.iter f (Dlist.to_list t.inactive)
 let iter_laundry t f = List.iter f (Dlist.to_list t.laundry)

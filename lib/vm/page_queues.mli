@@ -37,8 +37,10 @@ val launder : t -> page -> unit
 val remove : t -> page -> unit
 (** Detach from any queue (page being freed or wired). *)
 
-val oldest_active : t -> page option
-val oldest_inactive : t -> page option
+val oldest_active : t -> page
+val oldest_inactive : t -> page
+(** The head of the queue, without allocating. Raise
+    [Invalid_argument] on an empty queue: check the count first. *)
 
 val iter_inactive : t -> (page -> unit) -> unit
 (** Snapshot iteration, safe against removal during the walk. *)

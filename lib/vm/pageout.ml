@@ -13,9 +13,9 @@ let refill_inactive kctx ~want =
   let moved = ref 0 in
   let budget = Page_queues.active_count queues in
   while !moved < want && !scanned < budget do
-    match Page_queues.oldest_active queues with
-    | None -> scanned := budget
-    | Some page ->
+    if Page_queues.active_count queues = 0 then scanned := budget
+    else begin
+      let page = Page_queues.oldest_active queues in
       incr scanned;
       if page.wire_count > 0 || page.busy then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
@@ -26,6 +26,7 @@ let refill_inactive kctx ~want =
         Page_queues.deactivate queues page;
         incr moved
       end
+    end
   done;
   !moved
 
@@ -92,9 +93,9 @@ let reclaim_inactive kctx ~want =
   let scanned = ref 0 in
   let budget = Page_queues.inactive_count queues in
   while !freed + !laundered < want && !scanned < budget do
-    match Page_queues.oldest_inactive queues with
-    | None -> scanned := budget
-    | Some page ->
+    if Page_queues.inactive_count queues = 0 then scanned := budget
+    else begin
+      let page = Page_queues.oldest_inactive queues in
       incr scanned;
       if page.wire_count > 0 || page.busy then Page_queues.activate queues page
       else if Phys_mem.referenced kctx.Kctx.mem page.frame then begin
@@ -128,6 +129,7 @@ let reclaim_inactive kctx ~want =
           incr freed
         end
       end
+    end
   done;
   !freed
 

@@ -284,6 +284,29 @@ let test_foreign_region_rejected () =
              Syscalls.msg_rpc sender (Message.make ~dest:svc_port ~reply:reply_port [ foreign ]) ()));
       check Alcotest.(list int) "nothing was queued" [] (Syscalls.port_messages other))
 
+(* A send that fails drops the snapshot it took: once the sender
+   deallocates the region too, every frame is free again. *)
+let test_failed_send_frees_snapshot () =
+  with_system (fun sys sender ->
+      let kernel = sys.Kernel.kernel in
+      let dead = Task.create kernel ~name:"dead" () in
+      let svc = Syscalls.port_allocate dead ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space dead) svc in
+      Task.terminate dead;
+      let free_before = Kernel.free_frames kernel in
+      let size = 8 * page in
+      let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+      for i = 0 to 7 do
+        write_str sender ~addr:(addr + (i * page)) (Printf.sprintf "page %d" i)
+      done;
+      (match
+         Syscalls.msg_send sender (Message.make ~dest:svc_port [ Syscalls.ool_region sender ~addr ~size ])
+       with
+      | Ok () -> Alcotest.fail "send to a dead port succeeded"
+      | Error _ -> ());
+      Syscalls.vm_deallocate sender ~addr ~size;
+      check Alcotest.int "every frame back" free_before (Kernel.free_frames kernel))
+
 (* qcheck: the lazy pipeline must be observationally equal to an eager
    Bytes.blit snapshot at every send, for any interleaving of sends and
    single-byte sender writes. *)
@@ -347,6 +370,8 @@ let () =
           Alcotest.test_case "copyin eager, copy-out faults lazy" `Quick
             test_lazy_copyout_faults_counted;
           Alcotest.test_case "foreign region rejected at send" `Quick test_foreign_region_rejected;
+          Alcotest.test_case "failed send frees its snapshot" `Quick
+            test_failed_send_frees_snapshot;
         ] );
       ( "concurrent",
         [

@@ -195,7 +195,7 @@ let words_per_call ?(n = 10_000) ?partner f =
 
 let test_sleep_allocation () =
   let w = words_per_call (fun () -> Engine.sleep 1.0) in
-  if w > 24.0 then Alcotest.failf "sleep allocates %.1f words (bound 24)" w
+  if w > 8.0 then Alcotest.failf "sleep allocates %.1f words (bound 8)" w
 
 let test_self_name_allocates_nothing () =
   let w = words_per_call (fun () -> ignore (Sys.opaque_identity (Engine.self_name ()))) in
@@ -214,10 +214,12 @@ let test_waitq_allocation () =
         Waitq.signal ping;
         Waitq.wait pong)
   in
-  if w > 24.0 then Alcotest.failf "Waitq wait+signal allocates %.1f words (bound 24)" w;
+  if w > 8.0 then Alcotest.failf "Waitq wait+signal allocates %.1f words (bound 8)" w;
+  (* Each timed-out waiter stays queued: the ring must reuse its slot
+     rather than grow or allocate. *)
   let q = Waitq.create () in
   let w = words_per_call (fun () -> ignore (Waitq.wait_timeout q ~timeout:1.0)) in
-  if w > 28.0 then Alcotest.failf "fired wait_timeout allocates %.1f words (bound 28)" w
+  if w > 8.0 then Alcotest.failf "fired wait_timeout allocates %.1f words (bound 8)" w
 
 let test_mailbox_recv_allocation () =
   let ping = Mailbox.create () and pong = Mailbox.create () in
@@ -230,7 +232,7 @@ let test_mailbox_recv_allocation () =
         Mailbox.send ping ();
         Mailbox.recv pong)
   in
-  if w > 28.0 then Alcotest.failf "blocking Mailbox.recv+send allocates %.1f words (bound 28)" w
+  if w > 20.0 then Alcotest.failf "blocking Mailbox.recv+send allocates %.1f words (bound 20)" w
 
 (* qcheck: arbitrary programs of spawns/sleeps/sends produce identical
    traces on re-execution — the engine is deterministic by
@@ -549,7 +551,164 @@ let test_waitq_timeout () =
   Engine.run eng;
   Alcotest.(check bool) "timed out" false !result
 
+(* Waitq against a reference model: a plain list, oldest first, whose
+   timed-out waiters stay until a signal or broadcast reaches them. Both
+   park and unpark through the same engine calls, so on the same
+   program they must wake the same fibers in the same order at the
+   same instants, and agree on [waiters] after every operation. *)
+module Ref_waitq = struct
+  type t = { mutable q : (Engine.fiber * int) list }
+
+  let create () = { q = [] }
+  let live (f, k) = Engine.waiting f k
+  let waiters t = List.length (List.filter live t.q)
+
+  let enqueue t =
+    let f = Engine.self () in
+    t.q <- t.q @ [ (f, Engine.ticket f) ]
+
+  let wait t =
+    enqueue t;
+    Engine.park ()
+
+  let wait_timeout t ~timeout =
+    enqueue t;
+    Engine.park_timeout timeout
+
+  let rec signal t =
+    match t.q with
+    | [] -> ()
+    | ((f, k) as w) :: rest ->
+      t.q <- rest;
+      if live w then Engine.unpark f k else signal t
+
+  let broadcast t =
+    let ws = t.q in
+    t.q <- [];
+    List.iter (fun ((f, k) as w) -> if live w then Engine.unpark f k) ws
+end
+
+type wq_ops = {
+  wait : unit -> unit;
+  wait_timeout : float -> bool;
+  signal : unit -> unit;
+  broadcast : unit -> unit;
+  count : unit -> int;
+}
+
+type wq_op = Wait | Wait_timeout of int | Signal | Broadcast | Sleep of int
+
+(* Run one program per fiber and log (fiber, op, time, outcome) after
+   every operation; a fiber left waiting forever just stops logging. *)
+let run_waitq_program make programs =
+  let eng = Engine.create () in
+  let q = make () in
+  let log = ref [] in
+  List.iteri
+    (fun i ops ->
+      Engine.spawn eng ~name:(Printf.sprintf "f%d" i) (fun () ->
+          List.iteri
+            (fun j op ->
+              let outcome =
+                match op with
+                | Wait ->
+                  q.wait ();
+                  "woken"
+                | Wait_timeout d -> if q.wait_timeout (float_of_int d) then "signalled" else "timed out"
+                | Signal ->
+                  q.signal ();
+                  "signal"
+                | Broadcast ->
+                  q.broadcast ();
+                  "broadcast"
+                | Sleep d ->
+                  Engine.sleep (float_of_int d);
+                  "slept"
+              in
+              log := Printf.sprintf "%d.%d@%g %s w=%d" i j (Engine.now eng) outcome (q.count ()) :: !log)
+            ops))
+    programs;
+  Engine.run eng;
+  (List.rev !log, Engine.live eng)
+
+let waitq_model_prop =
+  let open QCheck2 in
+  let op =
+    Gen.(
+      frequency
+        [
+          (2, pure Wait); (4, map (fun d -> Wait_timeout d) (int_range 0 6)); (3, pure Signal);
+          (1, pure Broadcast); (3, map (fun d -> Sleep d) (int_range 0 4));
+        ])
+  in
+  (* Up to 12 fibers outgrow the ring's first 4 slots, and up to 60
+     ops each keep timed-out waiters piling up for compaction. *)
+  let program = Gen.(list_size (int_range 1 12) (list_size (int_range 1 60) op)) in
+  let print programs = Printf.sprintf "%d fibers" (List.length programs) in
+  Test.make ~name:"waitq wakes like a reference list" ~count:200 ~print program (fun programs ->
+      let real () =
+        let q = Waitq.create () in
+        { wait = (fun () -> Waitq.wait q); wait_timeout = (fun timeout -> Waitq.wait_timeout q ~timeout);
+          signal = (fun () -> Waitq.signal q); broadcast = (fun () -> Waitq.broadcast q);
+          count = (fun () -> Waitq.waiters q) }
+      and model () =
+        let q = Ref_waitq.create () in
+        { wait = (fun () -> Ref_waitq.wait q);
+          wait_timeout = (fun timeout -> Ref_waitq.wait_timeout q ~timeout);
+          signal = (fun () -> Ref_waitq.signal q); broadcast = (fun () -> Ref_waitq.broadcast q);
+          count = (fun () -> Ref_waitq.waiters q) }
+      in
+      run_waitq_program real programs = run_waitq_program model programs)
+
+(* Timed-out waiters are compacted out of a full ring, live ones keep
+   their order across growth, and a broadcast still wakes them FIFO. *)
+let test_waitq_ring_compaction_and_growth () =
+  let eng = Engine.create () in
+  let wq = Waitq.create () in
+  let timeouts = ref 0 and order = ref [] in
+  Engine.spawn eng ~name:"poller" (fun () ->
+      for _ = 1 to 100 do
+        if not (Waitq.wait_timeout wq ~timeout:1.0) then incr timeouts
+      done);
+  for i = 1 to 10 do
+    Engine.spawn eng (fun () ->
+        Engine.sleep (float_of_int (10 * i));
+        Waitq.wait wq;
+        order := i :: !order)
+  done;
+  Engine.spawn eng (fun () ->
+      Engine.sleep 200.0;
+      check Alcotest.int "only the ten live waiters count" 10 (Waitq.waiters wq);
+      Waitq.broadcast wq);
+  Engine.run eng;
+  check Alcotest.int "every poll timed out" 100 !timeouts;
+  check Alcotest.(list int) "woken oldest first" (List.init 10 (fun i -> i + 1)) (List.rev !order);
+  check Alcotest.int "nobody left parked" 0 (Engine.live eng)
+
 (* ---- park / unpark ------------------------------------------------------ *)
+
+(* A timer is set for one park: once an unpark has ended that park
+   early, the timer firing must not end the next one. *)
+let test_stale_timer () =
+  let eng = Engine.create () in
+  let parked = ref None and log = ref [] in
+  Engine.spawn eng ~name:"parker" (fun () ->
+      let f = Engine.self () in
+      parked := Some (f, Engine.ticket f);
+      let first = Engine.park_timeout 10.0 in
+      log := (first, Engine.now eng) :: !log;
+      let second = Engine.park_timeout 100.0 in
+      log := (second, Engine.now eng) :: !log);
+  Engine.spawn eng ~name:"waker" (fun () ->
+      Engine.sleep 5.0;
+      let f, ticket = Option.get !parked in
+      Engine.unpark f ticket);
+  Engine.run eng;
+  check
+    Alcotest.(list (pair bool (float 1e-9)))
+    "unparked at 5, then timed out at 105, not at 10"
+    [ (true, 5.0); (false, 105.0) ]
+    (List.rev !log)
 
 (* A signal and a timeout landing at the same instant: whichever event
    runs first decides the answer, and the waiter resumes exactly once —
@@ -760,6 +919,7 @@ let () =
           Alcotest.test_case "blocked names: every primitive" `Quick
             test_blocked_names_every_primitive;
           Alcotest.test_case "each park ends once" `Quick test_park_ends_once;
+          Alcotest.test_case "stale timer ignored" `Quick test_stale_timer;
           Alcotest.test_case "unpark before park" `Quick test_unpark_before_park;
           Alcotest.test_case "self outside a thread" `Quick test_self_outside_a_thread;
         ] );
@@ -795,5 +955,8 @@ let () =
           Alcotest.test_case "broadcast wakes all" `Quick test_waitq_broadcast_wakes_all;
           Alcotest.test_case "signal is FIFO" `Quick test_waitq_signal_fifo;
           Alcotest.test_case "timeout" `Quick test_waitq_timeout;
+          Alcotest.test_case "ring compaction and growth" `Quick
+            test_waitq_ring_compaction_and_growth;
+          QCheck_alcotest.to_alcotest waitq_model_prop;
         ] );
     ]

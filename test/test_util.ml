@@ -195,6 +195,30 @@ let test_dlist_push_front () =
   Dlist.push_front l (Dlist.node 0);
   check Alcotest.(list int) "front push" [ 0; 1 ] (Dlist.to_list l)
 
+(* Moving nodes between the ends and reading the head allocate
+   nothing: links are nodes, not options. *)
+let test_dlist_moves_allocate_nothing () =
+  let l = Dlist.create () in
+  let nodes = Array.init 8 Dlist.node in
+  Array.iter (Dlist.push_back l) nodes;
+  let round () =
+    Dlist.remove l nodes.(3);
+    Dlist.push_front l nodes.(3);
+    Dlist.remove l nodes.(0);
+    Dlist.push_back l nodes.(0);
+    ignore (Sys.opaque_identity (Dlist.front_value l))
+  in
+  round ();
+  let calibrate = Gc.minor_words () in
+  let overhead = Gc.minor_words () -. calibrate in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    round ()
+  done;
+  check (Alcotest.float 0.0) "words" 0.0 (Gc.minor_words () -. before -. overhead);
+  check Alcotest.int "front value" 3 (Dlist.front_value l);
+  check Alcotest.(list int) "order kept" [ 3; 1; 2; 4; 5; 6; 7; 0 ] (Dlist.to_list l)
+
 let test_dlist_reuse_after_remove () =
   let l = Dlist.create () in
   let n = Dlist.node 42 in
@@ -371,6 +395,7 @@ let () =
           Alcotest.test_case "cross-list remove rejected" `Quick test_dlist_cross_list_remove_rejected;
           Alcotest.test_case "push front" `Quick test_dlist_push_front;
           Alcotest.test_case "reuse after remove" `Quick test_dlist_reuse_after_remove;
+          Alcotest.test_case "moves allocate nothing" `Quick test_dlist_moves_allocate_nothing;
           QCheck_alcotest.to_alcotest dlist_prop;
         ] );
       ( "codec",

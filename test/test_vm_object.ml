@@ -181,9 +181,10 @@ let page_queue_prop =
           verify ())
         ops;
       (* Draining: oldest_active/inactive agree with membership. *)
-      (match Page_queues.oldest_active q with
-      | Some p -> if p.Vm_types.q_state <> Vm_types.Q_active then ok := false
-      | None -> if Page_queues.active_count q <> 0 then ok := false);
+      if
+        Page_queues.active_count q > 0
+        && (Page_queues.oldest_active q).Vm_types.q_state <> Vm_types.Q_active
+      then ok := false;
       !ok)
 
 let () =
