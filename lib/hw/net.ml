@@ -13,11 +13,16 @@ type t = {
   duplicated : Metrics.counter;
   retransmits : Metrics.counter;
   mutable chaos : Chaos.t option;
-  channels : (int * int, float ref) Hashtbl.t;
-      (* per-(src,dst) link serialization: transmissions queue FIFO, so a
-         small message cannot overtake a large one sent earlier (the
-         netmsg server serializes per connection) *)
+  links : (int, link) Hashtbl.t;
+      (* per-(src,dst) link serialization, keyed [src lsl 32 lor dst]:
+         transmissions queue FIFO, so a small message cannot overtake a
+         large one sent earlier (the netmsg server serializes per
+         connection) *)
 }
+
+(* All-float record, so the serializer's clock is stored unboxed and
+   advancing it allocates nothing. *)
+and link = { mutable busy_until : float }
 
 let create engine ?(latency_us = 300.0) ?(us_per_byte = 0.8) () =
   let group = Metrics.group () in
@@ -38,44 +43,44 @@ let create engine ?(latency_us = 300.0) ?(us_per_byte = 0.8) () =
     duplicated;
     retransmits;
     chaos = None;
-    channels = Hashtbl.create 16;
+    links = Hashtbl.create 16;
   }
 
 let set_chaos t c = t.chaos <- c
 let chaos t = t.chaos
 
-let channel t ~src ~dst =
-  match Hashtbl.find_opt t.channels (src, dst) with
-  | Some r -> r
-  | None ->
-    let r = ref 0.0 in
-    Hashtbl.replace t.channels (src, dst) r;
-    r
+let key src dst = (src lsl 32) lor dst
 
-(* Absolute arrival time for a message sent now: transmission occupies
-   the channel serially, propagation latency pipelines. *)
-let arrival_time t ~src ~dst ~bytes =
+let link t ~src ~dst =
+  match Hashtbl.find t.links (key src dst) with
+  | l -> l
+  | exception Not_found ->
+    let l = { busy_until = 0.0 } in
+    Hashtbl.replace t.links (key src dst) l;
+    l
+
+(* Absolute arrival time for a message sent now between two distinct
+   hosts: transmission occupies the link serially, propagation latency
+   pipelines. Inlined, so the times stay unboxed. *)
+let[@inline] arrival_time t ~src ~dst ~bytes =
   let now = Engine.now t.engine in
-  if src = dst then now
-  else begin
-    let busy = channel t ~src ~dst in
-    let xmit_done = Float.max now !busy +. (float_of_int bytes *. t.us_per_byte) in
-    busy := xmit_done;
-    xmit_done +. t.latency_us
-  end
+  let l = link t ~src ~dst in
+  let start = if now > l.busy_until then now else l.busy_until in
+  let xmit_done = start +. (float_of_int bytes *. t.us_per_byte) in
+  l.busy_until <- xmit_done;
+  xmit_done +. t.latency_us
 
-let latency_us t = t.latency_us
-let us_per_byte t = t.us_per_byte
+let[@inline] latency_us t = t.latency_us
+let[@inline] us_per_byte t = t.us_per_byte
 
 (* Queueing delay a message sent now would see before its own
    transmission starts: how far ahead of the clock the link's
    serializer already is. *)
-let backlog_us t ~src ~dst =
+let[@inline] backlog_us t ~src ~dst =
   if src = dst then 0.0
   else
-    match Hashtbl.find_opt t.channels (src, dst) with
-    | None -> 0.0
-    | Some busy -> Float.max 0.0 (!busy -. Engine.now t.engine)
+    let ahead = (link t ~src ~dst).busy_until -. Engine.now t.engine in
+    if ahead > 0.0 then ahead else 0.0
 
 let transit_us t ~src ~dst ~bytes =
   if src = dst then 0.0 else t.latency_us +. (float_of_int bytes *. t.us_per_byte)

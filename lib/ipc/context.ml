@@ -33,25 +33,35 @@ let seq_header_bytes = 16
 let ack_bytes = 16
 let default_retry_budget = 10
 
-type packet = {
-  pk_seq : int;
-  pk_bytes : int;  (* payload bytes, excluding the sequence header *)
-  pk_thunk : unit -> unit;
-}
+(* Channels are keyed by one int, [src lsl 32 lor dst] (host ids are
+   small and non-negative), so a lookup allocates no tuple. *)
+let chan_key src dst = (src lsl 32) lor dst
 
+let nop () = ()
+
+(* Acks are cumulative, so the unacked packets are always exactly the
+   seqs [tx_base, tx_next): the send window is a ring indexed by
+   [seq land (capacity - 1)], and retransmitting it is a walk from
+   [tx_base] up, in seq order. *)
 type chan_tx = {
   tx_src : int;
   tx_dst : int;
   mutable tx_epoch : int;
   mutable tx_next : int;
   mutable tx_base : int;  (* every seq below this is acked or shed *)
-  tx_unacked : (int, packet) Hashtbl.t;
+  mutable win_bytes : int array;  (* payload bytes, excluding the sequence header *)
+  mutable win_thunks : (unit -> unit) array;
   mutable tx_strikes : int;
   mutable tx_timer_gen : int;  (* bumping this orphans any armed timer *)
+  mutable tx_timer : unit -> unit;
+      (* the channel's one retransmit timer; its event's arg is the
+         generation it was armed for *)
   mutable tx_down : bool;
 }
 
 type chan_rx = {
+  rx_src : int;
+  rx_dst : int;
   mutable rx_epoch : int;
   mutable rx_next : int;
   rx_hold : (int, unit -> unit) Hashtbl.t;
@@ -90,8 +100,8 @@ type t = {
   deliveries : (int, delivery) Hashtbl.t;
   mutable reliable : bool;
   mutable retry_budget : int;
-  txs : (int * int, chan_tx) Hashtbl.t;
-  rxs : (int * int, chan_rx) Hashtbl.t;
+  txs : (int, chan_tx) Hashtbl.t; (* keyed by [chan_key] *)
+  rxs : (int, chan_rx) Hashtbl.t;
   cstats : chan_stats;
   ports : (int, (unit -> int) * (unit -> unit)) Hashtbl.t;
       (* port id -> (home getter, destroyer): lets a host crash find and
@@ -146,9 +156,9 @@ let spawn_daemon t d =
 
 let deliver_to t ~dst thunk =
   let d =
-    match Hashtbl.find_opt t.deliveries dst with
-    | Some d -> d
-    | None ->
+    match Hashtbl.find t.deliveries dst with
+    | d -> d
+    | exception Not_found ->
       let d =
         { d_name = Printf.sprintf "net-delivery-h%d" dst;
           dq = Mailbox.create ~capacity:delivery_queue_bound (); overflow = Queue.create ();
@@ -173,32 +183,48 @@ let set_reliable t b = t.reliable <- b
 let reliable t = t.reliable
 let set_retry_budget t n = t.retry_budget <- max 1 n
 
-let tx_chan t ~src ~dst =
-  match Hashtbl.find_opt t.txs (src, dst) with
-  | Some c -> c
-  | None ->
-    let c =
-      {
-        tx_src = src;
-        tx_dst = dst;
-        tx_epoch = 1;
-        tx_next = 1;
-        tx_base = 1;
-        tx_unacked = Hashtbl.create 16;
-        tx_strikes = 0;
-        tx_timer_gen = 0;
-        tx_down = false;
-      }
-    in
-    Hashtbl.replace t.txs (src, dst) c;
-    c
+let window_capacity = 16
+
+let unacked_in chan = chan.tx_next - chan.tx_base
+
+(* Largest payload still in flight, for the retransmission timeout. *)
+let window_max_bytes chan =
+  let mask = Array.length chan.win_bytes - 1 and m = ref 0 in
+  for seq = chan.tx_base to chan.tx_next - 1 do
+    m := max !m chan.win_bytes.(seq land mask)
+  done;
+  !m
+
+(* Forget the packets below [upto]: their slots stop holding thunks. *)
+let shed chan ~upto =
+  let mask = Array.length chan.win_thunks - 1 in
+  for seq = chan.tx_base to upto - 1 do
+    chan.win_thunks.(seq land mask) <- nop
+  done;
+  chan.tx_base <- upto
+
+let window_push chan bytes thunk =
+  let cap = Array.length chan.win_bytes in
+  if unacked_in chan = cap then begin
+    let bytes' = Array.make (2 * cap) 0 and thunks' = Array.make (2 * cap) nop in
+    for seq = chan.tx_base to chan.tx_next - 1 do
+      bytes'.(seq land ((2 * cap) - 1)) <- chan.win_bytes.(seq land (cap - 1));
+      thunks'.(seq land ((2 * cap) - 1)) <- chan.win_thunks.(seq land (cap - 1))
+    done;
+    chan.win_bytes <- bytes';
+    chan.win_thunks <- thunks'
+  end;
+  let slot = chan.tx_next land (Array.length chan.win_bytes - 1) in
+  chan.win_bytes.(slot) <- bytes;
+  chan.win_thunks.(slot) <- thunk;
+  chan.tx_next <- chan.tx_next + 1
 
 let rx_chan t ~src ~dst =
-  match Hashtbl.find_opt t.rxs (src, dst) with
-  | Some c -> c
-  | None ->
-    let c = { rx_epoch = 0; rx_next = 1; rx_hold = Hashtbl.create 16 } in
-    Hashtbl.replace t.rxs (src, dst) c;
+  match Hashtbl.find t.rxs (chan_key src dst) with
+  | c -> c
+  | exception Not_found ->
+    let c = { rx_src = src; rx_dst = dst; rx_epoch = 0; rx_next = 1; rx_hold = Hashtbl.create 16 } in
+    Hashtbl.replace t.rxs (chan_key src dst) c;
     c
 
 (* Retransmission timeout: current link queueing both ways, plus a
@@ -207,50 +233,37 @@ let rx_chan t ~src ~dst =
    wire serializes per link, so under sustained traffic an ack is
    delayed by every transmission queued ahead of it — a timeout blind
    to that reads congestion as loss and the retransmissions feed the
-   very queue that is delaying the acks. *)
-let rto t chan =
-  let max_bytes =
-    Hashtbl.fold (fun _ pk acc -> max acc pk.pk_bytes) chan.tx_unacked 0
-  in
+   very queue that is delaying the acks. Inlined, so the float is not
+   boxed on its way to the timer. *)
+let[@inline] rto t chan =
   let base =
     Net.backlog_us t.net ~src:chan.tx_src ~dst:chan.tx_dst
     +. Net.backlog_us t.net ~src:chan.tx_dst ~dst:chan.tx_src
     +. (4.0 *. Net.latency_us t.net)
-    +. (2.0 *. Net.us_per_byte t.net *. float_of_int (max_bytes + seq_header_bytes))
+    +. (2.0 *. Net.us_per_byte t.net *. float_of_int (window_max_bytes chan + seq_header_bytes))
     +. 500.0
   in
   let scale = float_of_int (1 lsl min chan.tx_strikes 4) in
   base *. scale
 
-let rec handle_ack t ~src ~dst ~epoch ~cum =
-  match Hashtbl.find_opt t.txs (src, dst) with
-  | None -> ()
-  | Some chan ->
-    if epoch <> chan.tx_epoch then Metrics.incr t.cstats.c_stale_epoch
-    else begin
-      (* Acks are cumulative: only seqs from [tx_base] up can still be
-         unacked, so an ack costs the packets it newly covers. *)
-      let progress = ref false in
-      for seq = chan.tx_base to cum do
-        if Hashtbl.mem chan.tx_unacked seq then begin
-          Hashtbl.remove chan.tx_unacked seq;
-          progress := true
-        end
-      done;
-      if cum >= chan.tx_base then chan.tx_base <- cum + 1;
-      if !progress then begin
-        chan.tx_strikes <- 0;
-        (* The watchdog measures silence since the peer's last progress,
-           not time since the window opened: restart it for the packets
-           still outstanding (their deadline was set for an older,
-           shorter queue), or disarm it when the window drained. *)
-        if Hashtbl.length chan.tx_unacked = 0 then
-          chan.tx_timer_gen <- chan.tx_timer_gen + 1
-        else arm_timer t chan
-      end
-    end
+let rec handle_ack t chan ~epoch ~cum =
+  if epoch <> chan.tx_epoch then Metrics.incr t.cstats.c_stale_epoch
+  else if cum >= chan.tx_base then begin
+    (* Acks are cumulative and name only seqs this epoch has sent, so
+       an ack at or above [tx_base] is progress: it covers the packets
+       from [tx_base] to [cum]. *)
+    shed chan ~upto:(min cum (chan.tx_next - 1) + 1);
+    chan.tx_strikes <- 0;
+    (* The watchdog measures silence since the peer's last progress,
+       not time since the window opened: restart it for the packets
+       still outstanding (their deadline was set for an older,
+       shorter queue), or disarm it when the window drained. *)
+    if unacked_in chan = 0 then chan.tx_timer_gen <- chan.tx_timer_gen + 1
+    else arm_timer t chan
+  end
 
-and rx_ingest t ~src ~dst ~epoch ~seq thunk =
+and rx_ingest t tx ~epoch ~seq thunk =
+  let src = tx.tx_src and dst = tx.tx_dst in
   let chan = rx_chan t ~src ~dst in
   if epoch < chan.rx_epoch then Metrics.incr t.cstats.c_stale_epoch
   else begin
@@ -262,16 +275,21 @@ and rx_ingest t ~src ~dst ~epoch ~seq thunk =
       chan.rx_next <- 1;
       Hashtbl.reset chan.rx_hold
     end;
-    if seq < chan.rx_next || Hashtbl.mem chan.rx_hold seq then
+    if seq = chan.rx_next && Hashtbl.length chan.rx_hold = 0 then begin
+      (* In order with nothing held: deliver straight through. *)
+      chan.rx_next <- seq + 1;
+      deliver_to t ~dst thunk
+    end
+    else if seq < chan.rx_next || Hashtbl.mem chan.rx_hold seq then
       Metrics.incr t.cstats.c_dup_dropped
     else begin
       if seq <> chan.rx_next then Metrics.incr t.cstats.c_resequenced;
       Hashtbl.replace chan.rx_hold seq thunk;
       let continue = ref true in
       while !continue do
-        match Hashtbl.find_opt chan.rx_hold chan.rx_next with
-        | None -> continue := false
-        | Some th ->
+        match Hashtbl.find chan.rx_hold chan.rx_next with
+        | exception Not_found -> continue := false
+        | th ->
           Hashtbl.remove chan.rx_hold chan.rx_next;
           chan.rx_next <- chan.rx_next + 1;
           deliver_to t ~dst th
@@ -281,49 +299,68 @@ and rx_ingest t ~src ~dst ~epoch ~seq thunk =
        from a lost packet, and the re-ack is what stops the retransmit. *)
     Metrics.incr t.cstats.c_acks;
     let cum = chan.rx_next - 1 in
-    Net.deliver t.net ~src:dst ~dst:src ~bytes:ack_bytes (fun () ->
-        handle_ack t ~src ~dst ~epoch ~cum)
+    Net.deliver t.net ~src:dst ~dst:src ~bytes:ack_bytes (fun () -> handle_ack t tx ~epoch ~cum)
   end
 
-and transmit t chan pk =
+and transmit t chan seq =
   let epoch = chan.tx_epoch in
-  let src = chan.tx_src and dst = chan.tx_dst in
-  Net.deliver t.net ~src ~dst ~bytes:(pk.pk_bytes + seq_header_bytes) (fun () ->
-      rx_ingest t ~src ~dst ~epoch ~seq:pk.pk_seq pk.pk_thunk)
+  let slot = seq land (Array.length chan.win_bytes - 1) in
+  let thunk = chan.win_thunks.(slot) in
+  Net.deliver t.net ~src:chan.tx_src ~dst:chan.tx_dst
+    ~bytes:(chan.win_bytes.(slot) + seq_header_bytes)
+    (fun () -> rx_ingest t chan ~epoch ~seq thunk)
 
 and arm_timer t chan =
   chan.tx_timer_gen <- chan.tx_timer_gen + 1;
-  let gen = chan.tx_timer_gen in
-  Engine.schedule t.engine
+  Engine.schedule_arg t.engine
     ~at:(Engine.now t.engine +. rto t chan)
-    (fun () ->
-      if gen = chan.tx_timer_gen && (not chan.tx_down)
-         && Hashtbl.length chan.tx_unacked > 0
-      then begin
-        chan.tx_strikes <- chan.tx_strikes + 1;
-        if chan.tx_strikes > t.retry_budget then begin
-          (* Watchdog: the peer has been silent through the whole retry
-             budget — declare the channel down and shed its queue.
-             Subsequent sends fail fast with [`Unreachable]. *)
-          chan.tx_down <- true;
-          Hashtbl.reset chan.tx_unacked;
-          chan.tx_base <- chan.tx_next;
-          Metrics.incr t.cstats.c_aborts
-        end
-        else begin
-          let pending =
-            Hashtbl.fold (fun _ pk acc -> pk :: acc) chan.tx_unacked []
-            |> List.sort (fun a b -> compare a.pk_seq b.pk_seq)
-          in
-          List.iter
-            (fun pk ->
-              Metrics.incr t.cstats.c_retransmits;
-              Net.note_retransmit t.net;
-              transmit t chan pk)
-            pending;
-          arm_timer t chan
-        end
-      end)
+    ~arg:chan.tx_timer_gen chan.tx_timer
+
+(* The channel's timer: a no-op unless it is the one armed last. *)
+and on_timer t chan () =
+  if Engine.event_arg t.engine = chan.tx_timer_gen && (not chan.tx_down) && unacked_in chan > 0
+  then begin
+    chan.tx_strikes <- chan.tx_strikes + 1;
+    if chan.tx_strikes > t.retry_budget then begin
+      (* Watchdog: the peer has been silent through the whole retry
+         budget — declare the channel down and shed its queue.
+         Subsequent sends fail fast with [`Unreachable]. *)
+      chan.tx_down <- true;
+      shed chan ~upto:chan.tx_next;
+      Metrics.incr t.cstats.c_aborts
+    end
+    else begin
+      for seq = chan.tx_base to chan.tx_next - 1 do
+        Metrics.incr t.cstats.c_retransmits;
+        Net.note_retransmit t.net;
+        transmit t chan seq
+      done;
+      arm_timer t chan
+    end
+  end
+
+let tx_chan t ~src ~dst =
+  match Hashtbl.find t.txs (chan_key src dst) with
+  | c -> c
+  | exception Not_found ->
+    let c =
+      {
+        tx_src = src;
+        tx_dst = dst;
+        tx_epoch = 1;
+        tx_next = 1;
+        tx_base = 1;
+        win_bytes = Array.make window_capacity 0;
+        win_thunks = Array.make window_capacity nop;
+        tx_strikes = 0;
+        tx_timer_gen = 0;
+        tx_timer = nop;
+        tx_down = false;
+      }
+    in
+    c.tx_timer <- on_timer t c;
+    Hashtbl.replace t.txs (chan_key src dst) c;
+    c
 
 let remote_deliver t ~src ~dst ~bytes thunk =
   if (not t.reliable) || src = dst then begin
@@ -334,29 +371,28 @@ let remote_deliver t ~src ~dst ~bytes thunk =
     let chan = tx_chan t ~src ~dst in
     if chan.tx_down then Error `Unreachable
     else begin
-      let pk = { pk_seq = chan.tx_next; pk_bytes = bytes; pk_thunk = thunk } in
-      chan.tx_next <- chan.tx_next + 1;
-      Hashtbl.replace chan.tx_unacked pk.pk_seq pk;
+      let seq = chan.tx_next in
+      window_push chan bytes thunk;
       Metrics.incr t.cstats.c_data_pkts;
-      transmit t chan pk;
-      if Hashtbl.length chan.tx_unacked = 1 then arm_timer t chan;
+      transmit t chan seq;
+      if unacked_in chan = 1 then arm_timer t chan;
       Ok ()
     end
   end
 
-let chan_down t ~src ~dst =
-  match Hashtbl.find_opt t.txs (src, dst) with Some c -> c.tx_down | None -> false
+let find_tx t ~src ~dst =
+  match Hashtbl.find t.txs (chan_key src dst) with c -> Some c | exception Not_found -> None
 
-let unacked t ~src ~dst =
-  match Hashtbl.find_opt t.txs (src, dst) with
-  | Some c -> Hashtbl.length c.tx_unacked
-  | None -> 0
+let chan_down t ~src ~dst =
+  match find_tx t ~src ~dst with Some c -> c.tx_down | None -> false
+
+let unacked t ~src ~dst = match find_tx t ~src ~dst with Some c -> unacked_in c | None -> 0
 
 let reset_tx t chan =
   chan.tx_epoch <- chan.tx_epoch + 1;
+  shed chan ~upto:chan.tx_next;
   chan.tx_next <- 1;
   chan.tx_base <- 1;
-  Hashtbl.reset chan.tx_unacked;
   chan.tx_strikes <- 0;
   chan.tx_timer_gen <- chan.tx_timer_gen + 1;
   chan.tx_down <- false;
@@ -368,8 +404,8 @@ let reset_tx t chan =
    direction needs the epoch-bump reset. *)
 let reset_link t a b =
   List.iter
-    (fun key ->
-      match Hashtbl.find_opt t.txs key with
+    (fun (src, dst) ->
+      match find_tx t ~src ~dst with
       | Some chan when chan.tx_down -> reset_tx t chan
       | Some _ | None -> ())
     [ (a, b); (b, a) ]
@@ -380,11 +416,11 @@ let register_port t ~id ~home ~destroy = Hashtbl.replace t.ports id (home, destr
 let forget_port t ~id = Hashtbl.remove t.ports id
 
 let reset_host_chans t ~host =
-  Hashtbl.iter (fun (src, dst) chan -> if src = host || dst = host then reset_tx t chan)
+  Hashtbl.iter (fun _ chan -> if chan.tx_src = host || chan.tx_dst = host then reset_tx t chan)
     t.txs;
   let stale =
-    Hashtbl.fold (fun ((src, dst) as key) _ acc ->
-        if src = host || dst = host then key :: acc else acc)
+    Hashtbl.fold (fun key c acc ->
+        if c.rx_src = host || c.rx_dst = host then key :: acc else acc)
       t.rxs []
   in
   List.iter

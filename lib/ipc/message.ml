@@ -95,6 +95,18 @@ let ool_payloads t =
     (function Ool b -> Some b | Data _ | Caps _ | Ool_region _ | Ool_copy _ -> None)
     t.body
 
+(* How each kind of copy payload is released; registered by the layer
+   that defines the kind, so this module needs none of them. *)
+let releasers : (copy_payload -> unit) list ref = ref []
+let on_discard f = releasers := f :: !releasers
+
+let discard t =
+  List.iter
+    (function
+      | Ool_copy c -> List.iter (fun release -> release c.cp_payload) !releasers
+      | Data _ | Caps _ | Ool _ | Ool_region _ -> ())
+    t.body
+
 let pp fmt t =
   Format.fprintf fmt "msg{id=%d dest=%a inline=%dB mapped=%dB caps=%d}" t.header.msg_id Port.pp
     t.header.dest (inline_bytes t) (mapped_bytes t)

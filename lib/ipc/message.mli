@@ -95,4 +95,14 @@ val caps : t -> cap list
 val ool_payloads : t -> bytes list
 (** The carried [Ool] payloads in body order. *)
 
+val on_discard : (copy_payload -> unit) -> unit
+(** Register how to release copy payloads of the kinds a layer defines
+    (it must ignore the others). The VM layer registers
+    [Vm_map.Vm_copy_handle] this way. *)
+
+val discard : t -> unit
+(** Release every copy object of a message that will never be
+    delivered: ports allocated through {!Port_space} drop their queued
+    messages through this when they die. *)
+
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,10 @@ type 'msg t = {
   mutable death_hooks : (int * (unit -> unit)) list;
   mutable arrival_hooks : (int * (unit -> unit)) list;
   mutable next_hook : int;
+  on_drop : 'msg -> unit;
 }
 
-let rec create ctx ~home ?(backlog = 32) () =
+let rec create ctx ~home ?(backlog = 32) ?(on_drop = ignore) () =
   let t =
     {
       id = Context.fresh_id ctx;
@@ -22,6 +23,7 @@ let rec create ctx ~home ?(backlog = 32) () =
       death_hooks = [];
       arrival_hooks = [];
       next_hook = 0;
+      on_drop;
     }
   in
   (* Registered untyped so a host crash can find and destroy every port
@@ -37,9 +39,9 @@ and destroy t =
     Context.forget_port t.ctx ~id:t.id;
     let hooks = List.rev t.death_hooks in
     t.death_hooks <- [];
-    (* Drop queued messages and wake blocked receivers/senders with the
-       death (RCV_PORT_DIED semantics). *)
-    Mailbox.close t.queue;
+    (* Drop queued messages, releasing what they hold, and wake blocked
+       receivers/senders with the death (RCV_PORT_DIED semantics). *)
+    Mailbox.close ~on_drop:t.on_drop t.queue;
     List.iter (fun (_, f) -> f ()) hooks
   end
 

@@ -9,9 +9,11 @@
 
 type 'msg t
 
-val create : Context.t -> home:int -> ?backlog:int -> unit -> 'msg t
+val create : Context.t -> home:int -> ?backlog:int -> ?on_drop:('msg -> unit) -> unit -> 'msg t
 (** [home] is the host id where the receive right lives; [backlog]
-    bounds the queue (default 32, matching a small kernel queue). *)
+    bounds the queue (default 32, matching a small kernel queue).
+    [on_drop] (default: nothing) releases each message still queued
+    when the port dies. *)
 
 val id : 'msg t -> int
 (** Globally unique within the context; stable identity for hashing. *)
@@ -35,8 +37,9 @@ val queue : 'msg t -> 'msg Mach_sim.Mailbox.t
 (** The underlying mailbox (transport use only). *)
 
 val destroy : 'msg t -> unit
-(** Destroy the port (receive right death): runs death hooks, drops
-    queued messages. Idempotent. *)
+(** Destroy the port (receive right death): drops queued messages
+    (each through the port's [on_drop]), then runs death hooks.
+    Idempotent. *)
 
 val on_death : 'msg t -> (unit -> unit) -> int
 (** Register a callback run at {!destroy}; returns a hook id. Fires

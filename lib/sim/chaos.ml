@@ -38,11 +38,13 @@ let create_stats () =
   { s_group; s_dropped; s_duplicated; s_reordered; s_partition_drops; s_crash_drops;
     s_partitions; s_heals; s_crashes; s_restarts }
 
+(* Links are keyed by one int, [src lsl 32 lor dst], so a lookup
+   allocates no tuple. *)
 type t = {
   rng : Rng.t;
-  plans : (int * int, plan) Hashtbl.t;
+  plans : (int, plan) Hashtbl.t; (* directed: [key src dst] *)
   mutable default_plan : plan;
-  partitions : (int * int, unit) Hashtbl.t;
+  partitions : (int, unit) Hashtbl.t; (* undirected: [key (min a b) (max a b)] *)
   crashed : (int, unit) Hashtbl.t;
   stats : stats;
   mutable trace : Trace.t option;
@@ -68,46 +70,54 @@ let create ?(seed = 0x43484F53) () =
 let set_trace t tr = t.trace <- tr
 let stats t = t.stats
 
+(* Labels are formatted only when a trace is listening: every fault
+   site checks [tracing] first, so an untraced run builds no string. *)
+let tracing t = match t.trace with Some tr -> Trace.enabled tr | None -> false
 let point t label =
-  match t.trace with
-  | Some tr when Trace.enabled tr -> Trace.point tr ~subsystem:"chaos" label
-  | Some _ | None -> ()
+  match t.trace with Some tr -> Trace.point tr ~subsystem:"chaos" label | None -> ()
 
-let set_plan t ~src ~dst plan = Hashtbl.replace t.plans (src, dst) plan
+let key a b =
+  if a < 0 || b < 0 || a >= 1 lsl 30 || b >= 1 lsl 30 then invalid_arg "Chaos: host id out of range";
+  (a lsl 32) lor b
+
+let set_plan t ~src ~dst plan = Hashtbl.replace t.plans (key src dst) plan
 
 let set_plan_between t a b plan =
   set_plan t ~src:a ~dst:b plan;
   set_plan t ~src:b ~dst:a plan
 
 let set_default_plan t plan = t.default_plan <- plan
-let plan_for t ~src ~dst =
-  match Hashtbl.find_opt t.plans (src, dst) with Some p -> p | None -> t.default_plan
 
-let link a b = (min a b, max a b)
+(* The empty-table checks keep the common fault-free link to two loads. *)
+let plan_for t ~src ~dst =
+  if Hashtbl.length t.plans = 0 then t.default_plan
+  else match Hashtbl.find t.plans (key src dst) with p -> p | exception Not_found -> t.default_plan
+
+let link a b = if a <= b then key a b else key b a
 
 let partition t a b =
   if not (Hashtbl.mem t.partitions (link a b)) then begin
     Hashtbl.replace t.partitions (link a b) ();
     Metrics.incr t.stats.s_partitions;
-    point t (Printf.sprintf "partition h%d|h%d" a b)
+    if tracing t then point t (Printf.sprintf "partition h%d|h%d" a b)
   end
 
 let heal t a b =
   if Hashtbl.mem t.partitions (link a b) then begin
     Hashtbl.remove t.partitions (link a b);
     Metrics.incr t.stats.s_heals;
-    point t (Printf.sprintf "heal h%d|h%d" a b);
+    if tracing t then point t (Printf.sprintf "heal h%d|h%d" a b);
     List.iter (fun f -> f a b) (List.rev t.on_heal)
   end
 
-let partitioned t a b = Hashtbl.mem t.partitions (link a b)
-let host_up t h = not (Hashtbl.mem t.crashed h)
+let partitioned t a b = Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (link a b)
+let host_up t h = Hashtbl.length t.crashed = 0 || not (Hashtbl.mem t.crashed h)
 
 let crash_host t h =
   if host_up t h then begin
     Hashtbl.replace t.crashed h ();
     Metrics.incr t.stats.s_crashes;
-    point t (Printf.sprintf "crash h%d" h);
+    if tracing t then point t (Printf.sprintf "crash h%d" h);
     List.iter (fun f -> f h) (List.rev t.on_crash)
   end
 
@@ -115,7 +125,7 @@ let restart_host t h =
   if not (host_up t h) then begin
     Hashtbl.remove t.crashed h;
     Metrics.incr t.stats.s_restarts;
-    point t (Printf.sprintf "restart h%d" h);
+    if tracing t then point t (Printf.sprintf "restart h%d" h);
     List.iter (fun f -> f h) (List.rev t.on_restart)
   end
 
@@ -127,46 +137,51 @@ type verdict =
   | Deliver of { copies : int; extra_delay_us : float }
   | Dropped of [ `Fault | `Partitioned | `Host_down ]
 
+(* The verdict of every message that arrives once, on time: shared, so
+   the common case allocates nothing. *)
+let deliver_once = Deliver { copies = 1; extra_delay_us = 0.0 }
+
+let link_point t what src dst =
+  if tracing t then point t (Printf.sprintf "%s h%d->h%d" what src dst)
+
 (* One verdict per fabric message. RNG draws happen in a fixed order
    (drop, duplicate, reorder) so a run is a pure function of the seed
    and the message sequence. *)
 let judge t ~src ~dst =
   if not (host_up t src && host_up t dst) then begin
     Metrics.incr t.stats.s_crash_drops;
-    point t (Printf.sprintf "crash_drop h%d->h%d" src dst);
+    link_point t "crash_drop" src dst;
     Dropped `Host_down
   end
   else if partitioned t src dst then begin
     Metrics.incr t.stats.s_partition_drops;
-    point t (Printf.sprintf "partition_drop h%d->h%d" src dst);
+    link_point t "partition_drop" src dst;
     Dropped `Partitioned
   end
   else begin
     let plan = plan_for t ~src ~dst in
     if plan.drop > 0.0 && Rng.float t.rng 1.0 < plan.drop then begin
       Metrics.incr t.stats.s_dropped;
-      point t (Printf.sprintf "drop h%d->h%d" src dst);
+      link_point t "drop" src dst;
       Dropped `Fault
     end
     else begin
       let copies =
         if plan.duplicate > 0.0 && Rng.float t.rng 1.0 < plan.duplicate then begin
           Metrics.incr t.stats.s_duplicated;
-          point t (Printf.sprintf "duplicate h%d->h%d" src dst);
+          link_point t "duplicate" src dst;
           2
         end
         else 1
       in
-      let extra_delay_us =
-        if plan.reorder > 0.0 && Rng.float t.rng 1.0 < plan.reorder then begin
-          Metrics.incr t.stats.s_reordered;
-          point t (Printf.sprintf "reorder h%d->h%d" src dst);
-          (* Enough delay to let later traffic overtake this message. *)
-          Rng.float t.rng (Float.max plan.jitter_us 1.0)
-        end
-        else 0.0
-      in
-      Deliver { copies; extra_delay_us }
+      if plan.reorder > 0.0 && Rng.float t.rng 1.0 < plan.reorder then begin
+        Metrics.incr t.stats.s_reordered;
+        link_point t "reorder" src dst;
+        (* Enough delay to let later traffic overtake this message. *)
+        Deliver { copies; extra_delay_us = Rng.float t.rng (Float.max plan.jitter_us 1.0) }
+      end
+      else if copies = 1 then deliver_once
+      else Deliver { copies; extra_delay_us = 0.0 }
     end
   end
 

@@ -160,7 +160,9 @@ let[@inline] push t at arg action =
   t.seq <- t.seq + 1;
   Heap.push t.heap at t.seq arg action
 
-let schedule t ~at action = push t at 0 action
+let[@inline] schedule t ~at action = push t at 0 action
+let[@inline] schedule_arg t ~at ~arg action = push t at arg action
+let event_arg t = t.heap.Heap.arg
 
 (* Continue [k] as the current fiber. A fiber's own exceptions end in
    its [exnc]; one escaping here came from a handler, and must not
@@ -309,7 +311,8 @@ let self_name_opt () =
   let fib = !current in
   if fib == no_fiber then None else Some fib.f_name
 
-let sleep delay =
+(* Inlined, so a caller's computed delay is not boxed to pass it. *)
+let[@inline] sleep delay =
   let t = !current.f_eng in
   t.clock.wake_us <- t.clock.now_us +. delay;
   Effect.perform Sleep

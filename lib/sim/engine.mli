@@ -25,6 +25,15 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Low-level: run a callback (not a coroutine — it must not block) at the
     given absolute time. *)
 
+val schedule_arg : t -> at:float -> arg:int -> (unit -> unit) -> unit
+(** {!schedule} with an int payload that the callback reads back with
+    {!event_arg}: one callback allocated once can serve many events and
+    still tell them apart (e.g. a timer that checks a generation). *)
+
+val event_arg : t -> int
+(** The [arg] of the event being run now ([0] for events scheduled
+    without one). Only meaningful inside a {!schedule_arg} callback. *)
+
 val run : ?until:float -> t -> unit
 (** Execute events until the queue is empty or simulated time would exceed
     [until]. Returns normally on quiescence; re-raises the first exception

@@ -159,14 +159,16 @@ let recv_timeout t ~timeout =
     end
 
 
-let close t =
+let close ?(on_drop = ignore) t =
   if not t.closed then begin
     t.closed <- true;
-    Queue.clear t.queue;
+    let dropped = Queue.create () in
+    Queue.transfer t.queue dropped;
     Queue.iter (fun w -> if live w then wake w None) t.receivers;
     Queue.clear t.receivers;
     Queue.iter (fun (_, w) -> if live w then wake w false) t.senders;
-    Queue.clear t.senders
+    Queue.clear t.senders;
+    Queue.iter on_drop dropped
   end
 
 let is_closed t = t.closed

@@ -33,11 +33,12 @@ val waiters : 'a t -> int
 
 exception Closed
 
-val close : 'a t -> unit
+val close : ?on_drop:('a -> unit) -> 'a t -> unit
 (** Close the mailbox: queued messages are dropped, blocked receivers
     and senders are woken with {!Closed}, and all future operations
     raise {!Closed} (except [close] itself, which is idempotent).
     A destroyed IPC port closes its queue this way so blocked receivers
-    learn of the death instead of waiting forever. *)
+    learn of the death instead of waiting forever. Each dropped message
+    is then passed to [on_drop] (default: nothing), in queue order. *)
 
 val is_closed : 'a t -> bool

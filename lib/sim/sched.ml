@@ -149,11 +149,19 @@ let trace_point t label =
   | Some tr when Trace.enabled tr -> Trace.point tr ~subsystem:"sched" label
   | Some _ | None -> ()
 
-let add_busy t cpu us = t.busy.(cpu.c_id) <- t.busy.(cpu.c_id) +. us
+(* Inlined, so the burst's float reaches the array unboxed. *)
+let[@inline] add_busy t cpu us = t.busy.(cpu.c_id) <- t.busy.(cpu.c_id) +. us
 let busy_us t = Array.fold_left ( +. ) 0.0 t.busy
 let queued t = Array.fold_left (fun acc c -> acc + Queue.length c.c_runq) 0 t.cpus
 
 let free c = c.c_running = no_thread && c.c_reserved = None
+
+let first_free t =
+  let n = Array.length t.cpus and i = ref 0 in
+  while !i < n && not (free t.cpus.(!i)) do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let idle_cpus t = Array.fold_left (fun acc c -> if free c then acc + 1 else acc) 0 t.cpus
 
@@ -162,7 +170,7 @@ let idle_cpus t = Array.fold_left (fun acc c -> if free c then acc + 1 else acc)
    would otherwise have found it a thread). Violations are counted, not
    raised, so property tests can assert the counter stays zero. *)
 let check_idle_invariant t =
-  if Array.exists free t.cpus && queued t > 0 then
+  if first_free t >= 0 && queued t > 0 then
     Metrics.incr t.stats.s_idle_with_waiter
 
 (* The CPU with the longest non-empty run queue (lowest id on ties), or
@@ -217,19 +225,10 @@ let release t cpu id =
   cpu.c_running <- no_thread;
   dispatch t cpu
 
-type entry = Entry_direct | Entry_queued | Entry_handoff
-
 let take t cpu id =
   cpu.c_running <- id;
   Metrics.incr t.stats.s_direct_dispatches;
   if cpu.c_last = id then Metrics.incr t.stats.s_affinity_hits
-
-let first_free t =
-  let n = Array.length t.cpus and i = ref 0 in
-  while !i < n && not (free t.cpus.(!i)) do
-    incr i
-  done;
-  if !i < n then !i else -1
 
 let shortest_runq t =
   let best = ref t.cpus.(0) in
@@ -259,14 +258,27 @@ let claimed_handoff t id =
       None
     | None -> None
 
+(* The context-switch cost of entering via a run queue, charged to the
+   incoming thread on its new processor. *)
+let charge_switch t cpu =
+  if t.context_switch_us > 0.0 then begin
+    Engine.sleep t.context_switch_us;
+    add_busy t cpu t.context_switch_us
+  end
+
+(* Take a processor for thread [id], tracing how it entered; a thread
+   that waited on a run queue pays the switch into it. *)
 let acquire t id =
   match claimed_handoff t id with
-  | Some cpu -> (cpu, Entry_handoff)
+  | Some cpu ->
+    trace_point t "enter_handoff";
+    cpu
   | None -> (
     let home = home t id in
     if home >= 0 && free t.cpus.(home) then begin
       take t t.cpus.(home) id;
-      (t.cpus.(home), Entry_direct)
+      trace_point t "enter_direct";
+      t.cpus.(home)
     end
     else
       match first_free t with
@@ -278,57 +290,46 @@ let acquire t id =
         Metrics.raise_to t.stats.s_queue_depth_peak depth;
         let w = enqueue target id in
         Engine.park ();
-        (w.w_cpu, Entry_queued)
+        trace_point t "enter_queued";
+        charge_switch t w.w_cpu;
+        w.w_cpu
       | c ->
         take t t.cpus.(c) id;
         if home >= 0 then Metrics.incr t.stats.s_migrations;
-        (t.cpus.(c), Entry_direct))
+        trace_point t "enter_direct";
+        t.cpus.(c))
 
-(* The context-switch cost of entering via a run queue, charged to the
-   incoming thread on its new processor. *)
-let charge_switch t cpu =
-  if t.context_switch_us > 0.0 then begin
-    Engine.sleep t.context_switch_us;
-    add_busy t cpu t.context_switch_us
-  end
-
-let rec run_burst t cpu id remaining =
-  let slice = if remaining > t.quantum_us then t.quantum_us else remaining in
-  Engine.sleep slice;
-  add_busy t cpu slice;
-  let remaining = remaining -. slice in
-  if remaining <= 0.0 then release t cpu id
-  else if Queue.length cpu.c_runq > 0 then begin
-    (* Quantum expired with local contention: preempt. Requeue at the
-       tail first so the dispatch below picks the earlier waiter, then
-       park; no event runs before the park, so whoever dispatch woke
-       resumes only after it. *)
-    Metrics.incr t.stats.s_preemptions;
-    trace_point t "preempt";
-    note_affinity t cpu id;
-    let w = enqueue cpu id in
-    cpu.c_running <- no_thread;
-    dispatch t cpu;
-    Engine.park ();
-    charge_switch t w.w_cpu;
-    run_burst t w.w_cpu id remaining
-  end
-  else run_burst t cpu id remaining
-
+(* A burst runs in quantum-sized slices on [cpu]; at each slice boundary
+   with local waiters it is preempted, requeues at the tail, and resumes
+   (after a switch) on whichever processor dispatch hands it. A loop
+   over local refs, so the remaining time is never boxed. *)
 let compute t us =
   if us > 0.0 then begin
     let id = Engine.self_id () in
     if id < 0 then invalid_arg "Sched.compute: not inside a simulated thread";
-    let cpu, entry = acquire t id in
-    trace_point t
-      (match entry with
-      | Entry_direct -> "enter_direct"
-      | Entry_queued -> "enter_queued"
-      | Entry_handoff -> "enter_handoff");
-    (match entry with
-    | Entry_queued -> charge_switch t cpu
-    | Entry_direct | Entry_handoff -> ());
-    run_burst t cpu id us
+    let cpu = ref (acquire t id) and remaining = ref us in
+    while !remaining > 0.0 do
+      let slice = if !remaining > t.quantum_us then t.quantum_us else !remaining in
+      Engine.sleep slice;
+      add_busy t !cpu slice;
+      remaining := !remaining -. slice;
+      if !remaining <= 0.0 then release t !cpu id
+      else if Queue.length !cpu.c_runq > 0 then begin
+        (* Quantum expired with local contention: preempt. Requeue at
+           the tail first so the dispatch below picks the earlier
+           waiter, then park; no event runs before the park, so whoever
+           dispatch woke resumes only after it. *)
+        Metrics.incr t.stats.s_preemptions;
+        trace_point t "preempt";
+        note_affinity t !cpu id;
+        let w = enqueue !cpu id in
+        !cpu.c_running <- no_thread;
+        dispatch t !cpu;
+        Engine.park ();
+        charge_switch t w.w_cpu;
+        cpu := w.w_cpu
+      end
+    done
   end
 
 (* {2 Handoff} *)

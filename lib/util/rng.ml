@@ -1,4 +1,7 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live in one 32-byte [bytes], read and
+   written with the unboxed 64-bit accessors, so a draw allocates
+   nothing: the state never holds a boxed [int64]. *)
+type t = bytes
 
 (* splitmix64, used only to expand the seed into xoshiro state. *)
 let splitmix64 state =
@@ -11,45 +14,52 @@ let splitmix64 state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* Inlined into every draw below, so its result stays unboxed. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_ne t 8 (logxor s1 s2);
+  Bytes.set_int64_ne t 0 (logxor s0 s3);
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
+let bits64 t = next t
+
 let split t =
-  let seed = Int64.to_int (bits64 t) land max_int in
+  let seed = Int64.to_int (next t) land max_int in
   create seed
 
 let int t bound =
   assert (bound > 0);
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   r mod bound
 
 let int_in t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* Inlined across modules (in optimised builds), so a caller that
+   compares the draw does not box it. *)
+let[@inline] float t bound =
   (* 53 random bits mapped to [0, 1). *)
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let r = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -1,5 +1,4 @@
 module Message = Mach_ipc.Message
-module Codec = Mach_util.Codec
 module Prot = Mach_hw.Prot
 
 type kernel_to_manager =
@@ -60,10 +59,37 @@ let is_pager_msg (m : Message.t) =
 let send_cap port = { Message.cap_port = port; cap_right = Message.Send_right }
 let receive_cap port = { Message.cap_port = port; cap_right = Message.Receive_right }
 
-let enc f =
-  let e = Codec.Enc.create () in
-  f e;
-  Message.Data (Codec.Enc.to_bytes e)
+(* Every payload is a few fixed-width fields, written straight into a
+   bytes of exactly its size: the layout [Mach_util.Codec.Enc] gives
+   the same calls (little-endian 64-bit ints, one byte for a protection
+   or a bool), so the bytes, and [Message.inline_bytes], are the same.
+   Decoders read the fields in place. *)
+let[@inline] set_int b pos v = Bytes.set_int64_le b pos (Int64.of_int v)
+
+let int1 a =
+  let b = Bytes.create 8 in
+  set_int b 0 a;
+  Message.Data b
+
+let int2 a c =
+  let b = Bytes.create 16 in
+  set_int b 0 a;
+  set_int b 8 c;
+  Message.Data b
+
+(* [a], then [c], then the low byte of [u]. *)
+let int_int_u8 a c u =
+  let b = Bytes.create 17 in
+  set_int b 0 a;
+  set_int b 8 c;
+  Bytes.set_uint8 b 16 (u land 0xff);
+  Message.Data b
+
+let int_u8 a u =
+  let b = Bytes.create 9 in
+  set_int b 0 a;
+  Bytes.set_uint8 b 8 (u land 0xff);
+  Message.Data b
 
 let encode_k2m ~reply call ~dest =
   match call with
@@ -71,92 +97,49 @@ let encode_k2m ~reply call ~dest =
     Message.make ?reply ~msg_id:id_init ~dest [ Message.Caps [ send_cap request; send_cap name ] ]
   | Data_request { memory_object = _; request; offset; length; desired_access } ->
     Message.make ?reply ~msg_id:id_data_request ~dest
-      [
-        Message.Caps [ send_cap request ];
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e length;
-            Codec.Enc.u8 e (Prot.to_int desired_access));
-      ]
+      [ Message.Caps [ send_cap request ]; int_int_u8 offset length (Prot.to_int desired_access) ]
   | Data_write { memory_object = _; offset; data; write_id } ->
-    Message.make ?reply ~msg_id:id_data_write ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e write_id);
-        Message.Ool data;
-      ]
+    Message.make ?reply ~msg_id:id_data_write ~dest [ int2 offset write_id; Message.Ool data ]
   | Data_unlock { memory_object = _; request; offset; length; desired_access } ->
     Message.make ?reply ~msg_id:id_data_unlock ~dest
-      [
-        Message.Caps [ send_cap request ];
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e length;
-            Codec.Enc.u8 e (Prot.to_int desired_access));
-      ]
+      [ Message.Caps [ send_cap request ]; int_int_u8 offset length (Prot.to_int desired_access) ]
   | Create { new_memory_object; request; name; size } ->
     Message.make ?reply ~msg_id:id_create ~dest
       [
         Message.Caps [ receive_cap new_memory_object; send_cap request; send_cap name ];
-        enc (fun e -> Codec.Enc.int e size);
+        int1 size;
       ]
   | Lock_completed { memory_object = _; offset; length } ->
-    Message.make ?reply ~msg_id:id_lock_completed ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e length);
-      ]
+    Message.make ?reply ~msg_id:id_lock_completed ~dest [ int2 offset length ]
 
 let encode_m2k call ~request =
   let dest = request in
   match call with
   | Data_provided { offset; data; lock_value } ->
     Message.make ~msg_id:id_data_provided ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.u8 e (Prot.to_int lock_value));
-        Message.Ool data;
-      ]
+      [ int_u8 offset (Prot.to_int lock_value); Message.Ool data ]
   | Data_lock { offset; length; lock_value } ->
-    Message.make ~msg_id:id_data_lock ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e length;
-            Codec.Enc.u8 e (Prot.to_int lock_value));
-      ]
+    Message.make ~msg_id:id_data_lock ~dest [ int_int_u8 offset length (Prot.to_int lock_value) ]
   | Flush_request { offset; length } ->
-    Message.make ~msg_id:id_flush_request ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e length);
-      ]
+    Message.make ~msg_id:id_flush_request ~dest [ int2 offset length ]
   | Clean_request { offset; length } ->
-    Message.make ~msg_id:id_clean_request ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e length);
-      ]
-  | Cache { may_cache } -> Message.make ~msg_id:id_cache ~dest [ enc (fun e -> Codec.Enc.bool e may_cache) ]
+    Message.make ~msg_id:id_clean_request ~dest [ int2 offset length ]
+  | Cache { may_cache } ->
+    let b = Bytes.make 1 (if may_cache then '\001' else '\000') in
+    Message.make ~msg_id:id_cache ~dest [ Message.Data b ]
   | Data_unavailable { offset; size } ->
-    Message.make ~msg_id:id_data_unavailable ~dest
-      [
-        enc (fun e ->
-            Codec.Enc.int e offset;
-            Codec.Enc.int e size);
-      ]
-  | Release_write { write_id } ->
-    Message.make ~msg_id:id_release_write ~dest [ enc (fun e -> Codec.Enc.int e write_id) ]
+    Message.make ~msg_id:id_data_unavailable ~dest [ int2 offset size ]
+  | Release_write { write_id } -> Message.make ~msg_id:id_release_write ~dest [ int1 write_id ]
 
-let payload m =
+(* The payload, which must hold at least [n] bytes; decoders read its
+   fixed-width fields in place. *)
+let payload m n =
   match Message.data_exn m with
-  | b -> Codec.Dec.of_bytes b
+  | b -> if Bytes.length b < n then raise (Malformed "truncated payload") else b
   | exception Not_found -> raise (Malformed "missing data item")
+
+let[@inline] get_int b pos = Int64.to_int (Bytes.get_int64_le b pos)
+let get_prot b pos = Prot.of_int (Bytes.get_uint8 b pos)
 
 let first_ool m =
   match Message.ool_payloads m with
@@ -168,8 +151,6 @@ let caps_exn m n =
   if List.length caps < n then raise (Malformed "missing capabilities");
   caps
 
-let wrap f = try f () with Codec.Dec.Truncated -> raise (Malformed "truncated payload")
-
 let decode_k2m (m : Message.t) =
   let dest = m.header.dest in
   let id = m.header.msg_id in
@@ -178,87 +159,63 @@ let decode_k2m (m : Message.t) =
     | [ r; n ] -> Init { memory_object = dest; request = r.cap_port; name = n.cap_port }
     | _ -> raise (Malformed "pager_init: bad capabilities")
   end
-  else if id = id_data_request then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let length = Codec.Dec.int d in
-        let desired_access = Prot.of_int (Codec.Dec.u8 d) in
-        match caps_exn m 1 with
-        | r :: _ ->
-          Data_request { memory_object = dest; request = r.cap_port; offset; length; desired_access }
-        | [] -> raise (Malformed "pager_data_request: bad capabilities"))
-  else if id = id_data_write then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let write_id = Codec.Dec.int d in
-        Data_write { memory_object = dest; offset; data = first_ool m; write_id })
-  else if id = id_data_unlock then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let length = Codec.Dec.int d in
-        let desired_access = Prot.of_int (Codec.Dec.u8 d) in
-        match caps_exn m 1 with
-        | r :: _ ->
-          Data_unlock { memory_object = dest; request = r.cap_port; offset; length; desired_access }
-        | [] -> raise (Malformed "pager_data_unlock: bad capabilities"))
-  else if id = id_create then
-    wrap (fun () ->
-        let d = payload m in
-        let size = Codec.Dec.int d in
-        match caps_exn m 3 with
-        | [ o; r; n ] ->
-          Create { new_memory_object = o.cap_port; request = r.cap_port; name = n.cap_port; size }
-        | _ -> raise (Malformed "pager_create: bad capabilities"))
-  else if id = id_lock_completed then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let length = Codec.Dec.int d in
-        Lock_completed { memory_object = dest; offset; length })
+  else if id = id_data_request then begin
+    let b = payload m 17 in
+    match caps_exn m 1 with
+    | r :: _ ->
+      Data_request
+        { memory_object = dest; request = r.cap_port; offset = get_int b 0; length = get_int b 8;
+          desired_access = get_prot b 16 }
+    | [] -> raise (Malformed "pager_data_request: bad capabilities")
+  end
+  else if id = id_data_write then begin
+    let b = payload m 16 in
+    Data_write { memory_object = dest; offset = get_int b 0; data = first_ool m; write_id = get_int b 8 }
+  end
+  else if id = id_data_unlock then begin
+    let b = payload m 17 in
+    match caps_exn m 1 with
+    | r :: _ ->
+      Data_unlock
+        { memory_object = dest; request = r.cap_port; offset = get_int b 0; length = get_int b 8;
+          desired_access = get_prot b 16 }
+    | [] -> raise (Malformed "pager_data_unlock: bad capabilities")
+  end
+  else if id = id_create then begin
+    let b = payload m 8 in
+    match caps_exn m 3 with
+    | [ o; r; n ] ->
+      Create { new_memory_object = o.cap_port; request = r.cap_port; name = n.cap_port; size = get_int b 0 }
+    | _ -> raise (Malformed "pager_create: bad capabilities")
+  end
+  else if id = id_lock_completed then begin
+    let b = payload m 16 in
+    Lock_completed { memory_object = dest; offset = get_int b 0; length = get_int b 8 }
+  end
   else raise (Malformed (Printf.sprintf "unknown kernel-to-manager id %d" id))
 
 let decode_m2k (m : Message.t) =
   let id = m.header.msg_id in
-  if id = id_data_provided then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let lock_value = Prot.of_int (Codec.Dec.u8 d) in
-        Data_provided { offset; data = first_ool m; lock_value })
-  else if id = id_data_lock then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let length = Codec.Dec.int d in
-        let lock_value = Prot.of_int (Codec.Dec.u8 d) in
-        Data_lock { offset; length; lock_value })
-  else if id = id_flush_request then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let length = Codec.Dec.int d in
-        Flush_request { offset; length })
-  else if id = id_clean_request then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let length = Codec.Dec.int d in
-        Clean_request { offset; length })
-  else if id = id_cache then
-    wrap (fun () ->
-        let d = payload m in
-        Cache { may_cache = Codec.Dec.bool d })
-  else if id = id_data_unavailable then
-    wrap (fun () ->
-        let d = payload m in
-        let offset = Codec.Dec.int d in
-        let size = Codec.Dec.int d in
-        Data_unavailable { offset; size })
-  else if id = id_release_write then
-    wrap (fun () ->
-        let d = payload m in
-        Release_write { write_id = Codec.Dec.int d })
+  if id = id_data_provided then begin
+    let b = payload m 9 in
+    Data_provided { offset = get_int b 0; data = first_ool m; lock_value = get_prot b 8 }
+  end
+  else if id = id_data_lock then begin
+    let b = payload m 17 in
+    Data_lock { offset = get_int b 0; length = get_int b 8; lock_value = get_prot b 16 }
+  end
+  else if id = id_flush_request then begin
+    let b = payload m 16 in
+    Flush_request { offset = get_int b 0; length = get_int b 8 }
+  end
+  else if id = id_clean_request then begin
+    let b = payload m 16 in
+    Clean_request { offset = get_int b 0; length = get_int b 8 }
+  end
+  else if id = id_cache then Cache { may_cache = Bytes.get_uint8 (payload m 1) 0 <> 0 }
+  else if id = id_data_unavailable then begin
+    let b = payload m 16 in
+    Data_unavailable { offset = get_int b 0; size = get_int b 8 }
+  end
+  else if id = id_release_write then Release_write { write_id = get_int (payload m 8) 0 }
   else raise (Malformed (Printf.sprintf "unknown manager-to-kernel id %d" id))

@@ -685,4 +685,8 @@ let copy_discard copy =
     List.iter (fun p -> Vm_object.deallocate copy.vc_kctx p.cpc_obj) copy.vc_pieces
   end
 
+(* A copy left in a message that a dying port drops is released here. *)
+let () =
+  Mach_ipc.Message.on_discard (function Vm_copy_handle c -> copy_discard c | _ -> ())
+
 let copy_size copy = copy.vc_size

@@ -339,6 +339,90 @@ let sequenced_transparent_prop =
       in
       run ~reliable:false = run ~reliable:true)
 
+(* ---- QCheck: the send window under random fault plans ------------------- *)
+
+let window_exactly_once_prop =
+  let open QCheck2 in
+  let prob = Gen.(map (fun k -> float_of_int k /. 100.0) (int_range 0 30)) in
+  let gen =
+    Gen.(
+      tup5 (int_range 0 10_000) prob prob prob
+        (pair (map float_of_int (int_range 0 3000)) (int_range 1 40)))
+  in
+  Test.make ~name:"random drop/dup/reorder: every payload once, in order, window empty"
+    ~count:40 gen (fun (seed, drop, duplicate, reorder, (jitter_us, n)) ->
+      let eng, _, ctx, _ =
+        make_chaos_ctx ~seed { Chaos.drop; duplicate; reorder; jitter_us }
+      in
+      (* Generous, so that no run is cut short by a channel going down. *)
+      Context.set_retry_budget ctx 100;
+      let got, errors = run_numbered_sends eng ctx ~n () in
+      errors = 0
+      && got = List.init n (fun i -> string_of_int (i + 1))
+      && Context.unacked ctx ~src:0 ~dst:1 = 0
+      && Context.unacked ctx ~src:1 ~dst:0 = 0)
+
+(* ---- words allocated per operation --------------------------------------- *)
+
+let words_per_op n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_rng_int_allocates_nothing () =
+  let rng = Mach_util.Rng.create 7 in
+  let w = words_per_op 100_000 (fun () -> ignore (Mach_util.Rng.int rng 1000)) in
+  check (Alcotest.float 0.01) "Rng.int words/op" 0.0 w
+
+let test_judge_allocates_nothing () =
+  let chaos = Chaos.create ~seed:3 () in
+  (match Chaos.judge chaos ~src:0 ~dst:1 with
+  | Chaos.Deliver { copies = 1; extra_delay_us = 0.0 } -> ()
+  | _ -> Alcotest.fail "expected a single on-time delivery");
+  let w = words_per_op 100_000 (fun () -> ignore (Chaos.judge chaos ~src:0 ~dst:1)) in
+  check (Alcotest.float 0.01) "Chaos.judge words/op" 0.0 w
+
+(* Every cluster attaches a trace that starts disabled: a fault must
+   not format its label then, and must still emit it once enabled. *)
+let test_fault_label_only_when_traced () =
+  let chaos = Chaos.create ~seed:5 () in
+  Chaos.set_default_plan chaos { Chaos.perfect with drop = 1.0 };
+  let trace = Mach_sim.Trace.create (Engine.create ()) in
+  Chaos.set_trace chaos (Some trace);
+  let w = words_per_op 10_000 (fun () -> ignore (Chaos.judge chaos ~src:0 ~dst:1)) in
+  (* At most the boxed draw of a build without cross-module inlining. *)
+  if w > 4.0 then Alcotest.failf "untraced drop: %.1f words/op, bound 4" w;
+  Mach_sim.Trace.set_enabled trace true;
+  ignore (Chaos.judge chaos ~src:0 ~dst:1);
+  check Alcotest.(list string) "labelled point" [ "drop h0->h1" ]
+    (List.map (fun e -> e.Mach_sim.Trace.ev_label) (Mach_sim.Trace.events trace))
+
+(* One packet on a fault-free reliable channel, delivered in order, and
+   its ack. *)
+let test_in_order_delivery_words () =
+  let eng, _, ctx, _ = make_chaos_ctx Chaos.perfect in
+  let delivered = ref 0 in
+  let thunk () = incr delivered in
+  let batch = 100 in
+  let w =
+    words_per_op (100_000 / batch) (fun () ->
+        for _ = 1 to batch do
+          ignore (Context.remote_deliver ctx ~src:0 ~dst:1 ~bytes:64 thunk)
+        done;
+        Engine.run eng)
+    /. float_of_int batch
+  in
+  check Alcotest.int "all delivered" 100_000 !delivered;
+  check Alcotest.int "window drained" 0 (Context.unacked ctx ~src:0 ~dst:1);
+  (* About 106 words on OCaml 5.1 in the dev profile (201 before the
+     send window and int-keyed channels). Most of it is simulated work:
+     the packet's and the ack's delivery closures, and the destination's
+     delivery daemon, respawned for each packet because the wire spaces
+     them out. *)
+  if w > 130.0 then Alcotest.failf "in-order delivery: %.1f words/op, bound 130" w
+
 let () =
   Alcotest.run "chaos"
     [
@@ -375,5 +459,13 @@ let () =
           Alcotest.test_case "same seed, same faults" `Quick test_same_seed_same_faults;
           Alcotest.test_case "fault-plan spec grammar" `Quick test_chaos_spec_parsing;
           QCheck_alcotest.to_alcotest sequenced_transparent_prop;
+          QCheck_alcotest.to_alcotest window_exactly_once_prop;
+        ] );
+      ( "words-per-op",
+        [
+          Alcotest.test_case "Rng.int" `Quick test_rng_int_allocates_nothing;
+          Alcotest.test_case "Chaos.judge, deliver-once" `Quick test_judge_allocates_nothing;
+          Alcotest.test_case "Chaos.judge, untraced drop" `Quick test_fault_label_only_when_traced;
+          Alcotest.test_case "in-order reliable delivery" `Quick test_in_order_delivery_words;
         ] );
     ]

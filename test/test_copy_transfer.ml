@@ -307,6 +307,27 @@ let test_failed_send_frees_snapshot () =
       Syscalls.vm_deallocate sender ~addr ~size;
       check Alcotest.int "every frame back" free_before (Kernel.free_frames kernel))
 
+(* A snapshot still queued when its port dies is released with the
+   port: once the sender deallocates the region too, every frame is
+   free again. *)
+let test_port_death_frees_queued_snapshot () =
+  with_system (fun sys sender ->
+      let kernel = sys.Kernel.kernel in
+      let receiver = Task.create kernel ~name:"receiver" () in
+      let svc = Syscalls.port_allocate receiver ~backlog:4 () in
+      let svc_port = Mach_ipc.Port_space.lookup_exn (Task.space receiver) svc in
+      let free_before = Kernel.free_frames kernel in
+      let size = 8 * page in
+      let addr = Syscalls.vm_allocate sender ~size ~anywhere:true () in
+      for i = 0 to 7 do
+        write_str sender ~addr:(addr + (i * page)) (Printf.sprintf "page %d" i)
+      done;
+      send_region sender ~addr ~size ~dest:svc_port;
+      check Alcotest.int "queued at the receiver" 1 (Mach_ipc.Port.queued svc_port);
+      Task.terminate receiver;
+      Syscalls.vm_deallocate sender ~addr ~size;
+      check Alcotest.int "every frame back" free_before (Kernel.free_frames kernel))
+
 (* qcheck: the lazy pipeline must be observationally equal to an eager
    Bytes.blit snapshot at every send, for any interleaving of sends and
    single-byte sender writes. *)
@@ -370,6 +391,8 @@ let () =
           Alcotest.test_case "copyin eager, copy-out faults lazy" `Quick
             test_lazy_copyout_faults_counted;
           Alcotest.test_case "foreign region rejected at send" `Quick test_foreign_region_rejected;
+          Alcotest.test_case "port death frees a queued snapshot" `Quick
+            test_port_death_frees_queued_snapshot;
           Alcotest.test_case "failed send frees its snapshot" `Quick
             test_failed_send_frees_snapshot;
         ] );

@@ -188,6 +188,73 @@ let test_default_pager_unavailable_then_stored () =
   | Some false -> Alcotest.fail "data corrupted through the default pager"
   | None -> Alcotest.fail "deadlocked"
 
+(* Every payload is written straight into an exact-size buffer; it must
+   stay byte-identical to the Codec encoding of the same fields, since
+   the inline byte count prices every send. *)
+let test_payloads_match_codec () =
+  let ctx = make_ctx () in
+  let mo = Port.create ctx ~home:0 () and rq = Port.create ctx ~home:0 () in
+  let nm = Port.create ctx ~home:0 () in
+  let codec fields =
+    let e = Mach_util.Codec.Enc.create () in
+    List.iter
+      (function
+        | `Int v -> Mach_util.Codec.Enc.int e v
+        | `U8 v -> Mach_util.Codec.Enc.u8 e v
+        | `Bool v -> Mach_util.Codec.Enc.bool e v)
+      fields;
+    Bytes.to_string (Mach_util.Codec.Enc.to_bytes e)
+  in
+  let payload msg = Bytes.to_string (Message.data_exn msg) in
+  let big = 0x1234_5678_9abc and neg = -4097 in
+  let prot p = `U8 (Prot.to_int p) in
+  let k2m call = payload (Pager_iface.encode_k2m ~reply:None call ~dest:mo) in
+  let m2k call = payload (Pager_iface.encode_m2k call ~request:rq) in
+  let cases =
+    [
+      ( "data_request",
+        k2m
+          (Pager_iface.Data_request
+             { memory_object = mo; request = rq; offset = big; length = neg; desired_access = Prot.rw }),
+        [ `Int big; `Int neg; prot Prot.rw ] );
+      ( "data_write",
+        k2m
+          (Pager_iface.Data_write
+             { memory_object = mo; offset = max_int; data = Bytes.empty; write_id = min_int }),
+        [ `Int max_int; `Int min_int ] );
+      ( "data_unlock",
+        k2m
+          (Pager_iface.Data_unlock
+             { memory_object = mo; request = rq; offset = 0; length = big; desired_access = Prot.all }),
+        [ `Int 0; `Int big; prot Prot.all ] );
+      ( "create",
+        k2m (Pager_iface.Create { new_memory_object = mo; request = rq; name = nm; size = big }),
+        [ `Int big ] );
+      ( "lock_completed",
+        k2m (Pager_iface.Lock_completed { memory_object = mo; offset = neg; length = 4096 }),
+        [ `Int neg; `Int 4096 ] );
+      ( "data_provided",
+        m2k (Pager_iface.Data_provided { offset = big; data = Bytes.empty; lock_value = Prot.read }),
+        [ `Int big; prot Prot.read ] );
+      ( "data_lock",
+        m2k (Pager_iface.Data_lock { offset = neg; length = big; lock_value = Prot.none }),
+        [ `Int neg; `Int big; prot Prot.none ] );
+      ( "flush_request",
+        m2k (Pager_iface.Flush_request { offset = big; length = 8192 }),
+        [ `Int big; `Int 8192 ] );
+      ( "clean_request",
+        m2k (Pager_iface.Clean_request { offset = 0; length = neg }),
+        [ `Int 0; `Int neg ] );
+      ("cache true", m2k (Pager_iface.Cache { may_cache = true }), [ `Bool true ]);
+      ("cache false", m2k (Pager_iface.Cache { may_cache = false }), [ `Bool false ]);
+      ( "data_unavailable",
+        m2k (Pager_iface.Data_unavailable { offset = big; size = 4096 }),
+        [ `Int big; `Int 4096 ] );
+      ("release_write", m2k (Pager_iface.Release_write { write_id = neg }), [ `Int neg ]);
+    ]
+  in
+  List.iter (fun (name, got, fields) -> Alcotest.(check string) name (codec fields) got) cases
+
 let () =
   Alcotest.run "pager_protocol"
     [
@@ -196,6 +263,7 @@ let () =
           Alcotest.test_case "kernel-to-manager roundtrips" `Quick test_k2m_roundtrips;
           Alcotest.test_case "manager-to-kernel roundtrips" `Quick test_m2k_roundtrips;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
+          Alcotest.test_case "payloads byte-equal to Codec" `Quick test_payloads_match_codec;
           QCheck_alcotest.to_alcotest m2k_prop;
         ] );
       ( "default-pager",

@@ -17,6 +17,29 @@ let test_rng_deterministic () =
     check Alcotest.int64 "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* The xoshiro256** stream is part of every experiment's output: these
+   first draws must never move. *)
+let test_rng_golden_stream () =
+  let r = Rng.create 42 in
+  List.iter
+    (fun want -> check Alcotest.int64 "bits64, seed 42" want (Rng.bits64 r))
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L ];
+  let r = Rng.create 7 in
+  check Alcotest.(list int) "int 1000, seed 7" [ 998; 668; 909; 416; 166; 930; 429; 799 ]
+    (List.init 8 (fun _ -> Rng.int r 1000));
+  let r = Rng.create 1 in
+  List.iter
+    (fun want ->
+      check Alcotest.int64 "float 1.0, seed 1 (bit pattern)" (Int64.bits_of_float want)
+        (Int64.bits_of_float (Rng.float r 1.0)))
+    [ 0x1.67e55eda1f8e2p-1; 0x1.0a76ab2c8e6c9p-1; 0x1.25f12eac10548p-1; 0x1.90b871ef099a8p-2 ];
+  let parent = Rng.create 0x43484F53 in
+  let child = Rng.split parent in
+  List.iter
+    (fun want -> check Alcotest.int64 "split child" want (Rng.bits64 child))
+    [ 0xf11818926dc4039bL; 0xdff225b6a7f88ba3L; 0x92b32c207a21ab13L ];
+  check Alcotest.int64 "split parent advanced once" 0xd417e9dab628b0eL (Rng.bits64 parent)
+
 let test_rng_different_seeds () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let same = ref 0 in
@@ -369,6 +392,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "seeds differ" `Quick test_rng_different_seeds;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
